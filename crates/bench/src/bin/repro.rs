@@ -1959,7 +1959,7 @@ mod bench_cli {
          Runs the quick perf smoke suite (fixed seeds) and prints one entry per\n\
          bench: ns per iteration plus throughput where meaningful. --engine\n\
          forces the batch engine tier (same choices as the RC4_ACCEL_FORCE\n\
-         environment variable: auto, avx512, avx2, neon, portable); the\n\
+         environment variable: auto, avx512, avx2, portable); the\n\
          resolved engine is reported in the summary and the JSON. With\n\
          --compare, entries also present in BENCH_FILE are checked and the run\n\
          fails (exit 1) if any is more than PCT percent slower (default 25).\n\
@@ -2127,7 +2127,6 @@ mod bench_cli {
             let bench_name: &'static str = match name {
                 "avx512" => "rc4_batch_rekey/256x68/avx512",
                 "avx2" => "rc4_batch_rekey/256x68/avx2",
-                "neon" => "rc4_batch_rekey/256x68/neon",
                 _ => "rc4_batch_rekey/256x68/portable",
             };
             results.push(Measurement {

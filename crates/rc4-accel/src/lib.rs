@@ -7,20 +7,21 @@
 //! interleaved as `u32` cells, one *row* of all lanes is exactly one vector
 //! register, and the data-dependent accesses become gathers (and scatters
 //! where the ISA has them) — a handful of instructions stepping N keystreams
-//! at once. Three hardware tiers implement that idea:
+//! at once. Two hardware tiers implement that idea:
 //!
 //! | engine | ISA | lanes | data-dependent accesses |
 //! |---|---|---|---|
 //! | [`Avx512Batch`] | x86-64 AVX-512F | 16 | `vpgatherdd` + `vpscatterdd` |
-//! | [`Avx2Batch`] | x86-64 AVX2 | 8 | `vpgatherdd` + scalar stores |
-//! | `NeonBatch` (aarch64 builds) | NEON | 4 | scalar, vector index math |
+//! | [`Avx2Batch`] | x86-64 AVX2 | 16 | `vpgatherdd` + scalar stores |
+//!
+//! Other targets (aarch64 included) run the portable engine.
 //!
 //! Everything here implements the same [`KeystreamBatch`] trait as the
 //! portable module and is bit-identical to the scalar [`rc4::Prga`] per lane
 //! (property-tested against it, and cross-checked engine-vs-engine by the
 //! differential suite in `tests/differential.rs`). [`AutoBatch`] picks the
-//! fastest engine the running CPU supports — preferring avx512 → avx2 → neon
-//! → portable — so consumers just write:
+//! fastest engine the running CPU supports — preferring avx512 → avx2 →
+//! portable — so consumers just write:
 //!
 //! ```
 //! use rc4_accel::{AutoBatch, KeystreamBatch};
@@ -66,16 +67,12 @@ use rc4::KeyError;
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 pub mod score;
 
 #[cfg(target_arch = "x86_64")]
 pub use avx2::Avx2Batch;
 #[cfg(target_arch = "x86_64")]
 pub use avx512::Avx512Batch;
-#[cfg(target_arch = "aarch64")]
-pub use neon::NeonBatch;
 
 /// Environment variable consulted by [`AutoBatch::new`] to force an engine.
 pub const FORCE_ENV: &str = "RC4_ACCEL_FORCE";
@@ -91,10 +88,8 @@ pub enum Engine {
     Auto,
     /// 16-lane AVX-512F gather/scatter engine (x86-64).
     Avx512,
-    /// 8-lane AVX2 gather engine (x86-64).
+    /// 16-lane AVX2 gather engine (x86-64).
     Avx2,
-    /// 4-lane NEON engine (aarch64).
-    Neon,
     /// The portable lane-interleaved engine (any CPU).
     Portable,
 }
@@ -102,7 +97,7 @@ pub enum Engine {
 impl Engine {
     /// Every engine name accepted by [`Engine::parse`] / `RC4_ACCEL_FORCE`,
     /// in dispatch-preference order.
-    pub const CHOICES: [&'static str; 5] = ["auto", "avx512", "avx2", "neon", "portable"];
+    pub const CHOICES: [&'static str; 4] = ["auto", "avx512", "avx2", "portable"];
 
     /// The engine's stable name (matches [`KeystreamBatch::name`] of the
     /// engine it selects, except `Auto`).
@@ -111,7 +106,6 @@ impl Engine {
             Engine::Auto => "auto",
             Engine::Avx512 => "avx512",
             Engine::Avx2 => "avx2",
-            Engine::Neon => "neon",
             Engine::Portable => "portable",
         }
     }
@@ -122,7 +116,6 @@ impl Engine {
             "auto" => Some(Engine::Auto),
             "avx512" => Some(Engine::Avx512),
             "avx2" => Some(Engine::Avx2),
-            "neon" => Some(Engine::Neon),
             "portable" => Some(Engine::Portable),
             _ => None,
         }
@@ -164,19 +157,21 @@ pub fn available_engines() -> Vec<&'static str> {
             names.push("avx2");
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            names.push("neon");
-        }
-    }
     names.push("portable");
     names
 }
 
+/// The diagnostic for a forced engine this CPU or build target lacks.
+fn unavailable(name: &str) -> String {
+    format!(
+        "engine '{name}' is not available on this CPU (available: {})",
+        available_engines().join(", ")
+    )
+}
+
 /// The best batch engine the running CPU supports, behind one type.
 ///
-/// Dispatch prefers avx512 → avx2 → neon → portable; the variant is chosen
+/// Dispatch prefers avx512 → avx2 → portable; the variant is chosen
 /// once at construction — the hot loops contain no feature checks. The
 /// `RC4_ACCEL_FORCE` environment variable overrides the choice (see the
 /// crate docs).
@@ -185,12 +180,9 @@ pub enum AutoBatch {
     /// AVX-512 gather/scatter engine (16 lanes).
     #[cfg(target_arch = "x86_64")]
     Avx512(Avx512Batch),
-    /// AVX2 gather engine (8 lanes).
+    /// AVX2 gather engine (16 lanes).
     #[cfg(target_arch = "x86_64")]
     Avx2(Avx2Batch),
-    /// NEON engine (4 lanes).
-    #[cfg(target_arch = "aarch64")]
-    Neon(NeonBatch),
     /// Portable lane-interleaved engine (boxed: the inline state tables
     /// would otherwise dominate the enum's size).
     Portable(Box<DefaultBatch>),
@@ -220,12 +212,6 @@ impl AutoBatch {
     /// Returns a diagnostic message when the requested tier is not available
     /// on this CPU or build target.
     pub fn with_engine(engine: Engine) -> Result<Self, String> {
-        let unavailable = |name: &str| {
-            format!(
-                "engine '{name}' is not available on this CPU (available: {})",
-                available_engines().join(", ")
-            )
-        };
         match engine {
             Engine::Auto => {
                 #[cfg(target_arch = "x86_64")]
@@ -235,10 +221,6 @@ impl AutoBatch {
                 #[cfg(target_arch = "x86_64")]
                 if let Some(engine) = Avx2Batch::new() {
                     return Ok(AutoBatch::Avx2(engine));
-                }
-                #[cfg(target_arch = "aarch64")]
-                if let Some(engine) = NeonBatch::new() {
-                    return Ok(AutoBatch::Neon(engine));
                 }
                 Ok(AutoBatch::Portable(Box::new(DefaultBatch::new())))
             }
@@ -255,13 +237,6 @@ impl AutoBatch {
                     return Ok(AutoBatch::Avx2(engine));
                 }
                 Err(unavailable("avx2"))
-            }
-            Engine::Neon => {
-                #[cfg(target_arch = "aarch64")]
-                if let Some(engine) = NeonBatch::new() {
-                    return Ok(AutoBatch::Neon(engine));
-                }
-                Err(unavailable("neon"))
             }
             Engine::Portable => Ok(AutoBatch::Portable(Box::new(DefaultBatch::new()))),
         }
@@ -286,8 +261,6 @@ impl KeystreamBatch for AutoBatch {
             AutoBatch::Avx512(e) => e.lanes(),
             #[cfg(target_arch = "x86_64")]
             AutoBatch::Avx2(e) => e.lanes(),
-            #[cfg(target_arch = "aarch64")]
-            AutoBatch::Neon(e) => e.lanes(),
             AutoBatch::Portable(e) => e.lanes(),
         }
     }
@@ -298,8 +271,6 @@ impl KeystreamBatch for AutoBatch {
             AutoBatch::Avx512(e) => e.scheduled(),
             #[cfg(target_arch = "x86_64")]
             AutoBatch::Avx2(e) => e.scheduled(),
-            #[cfg(target_arch = "aarch64")]
-            AutoBatch::Neon(e) => e.scheduled(),
             AutoBatch::Portable(e) => e.scheduled(),
         }
     }
@@ -310,8 +281,6 @@ impl KeystreamBatch for AutoBatch {
             AutoBatch::Avx512(e) => e.name(),
             #[cfg(target_arch = "x86_64")]
             AutoBatch::Avx2(e) => e.name(),
-            #[cfg(target_arch = "aarch64")]
-            AutoBatch::Neon(e) => e.name(),
             AutoBatch::Portable(e) => e.name(),
         }
     }
@@ -322,8 +291,6 @@ impl KeystreamBatch for AutoBatch {
             AutoBatch::Avx512(e) => e.schedule(keys, key_len),
             #[cfg(target_arch = "x86_64")]
             AutoBatch::Avx2(e) => e.schedule(keys, key_len),
-            #[cfg(target_arch = "aarch64")]
-            AutoBatch::Neon(e) => e.schedule(keys, key_len),
             AutoBatch::Portable(e) => e.schedule(keys, key_len),
         }
     }
@@ -334,8 +301,6 @@ impl KeystreamBatch for AutoBatch {
             AutoBatch::Avx512(e) => e.fill(out, len),
             #[cfg(target_arch = "x86_64")]
             AutoBatch::Avx2(e) => e.fill(out, len),
-            #[cfg(target_arch = "aarch64")]
-            AutoBatch::Neon(e) => e.fill(out, len),
             AutoBatch::Portable(e) => e.fill(out, len),
         }
     }
@@ -367,7 +332,7 @@ mod tests {
     #[test]
     fn auto_batch_reports_an_engine() {
         let engine = AutoBatch::new();
-        assert!(["avx512", "avx2", "neon", "portable"].contains(&engine.engine_name()));
+        assert!(["avx512", "avx2", "portable"].contains(&engine.engine_name()));
         assert!(engine.lanes() >= 1);
     }
 
@@ -400,13 +365,16 @@ mod tests {
 
     #[test]
     fn unavailable_engine_is_a_listed_error() {
-        // At most one of avx512/neon can exist per build; whichever the
-        // host lacks must produce the diagnostic with the available list.
-        for kind in [Engine::Avx512, Engine::Avx2, Engine::Neon] {
-            if available_engines().contains(&kind.name()) {
-                continue;
+        // Whichever SIMD tier the host lacks must produce the diagnostic
+        // with the available list (on an AVX-512 host only the message
+        // itself can be checked).
+        let mut errors = vec![unavailable("avx512")];
+        for kind in [Engine::Avx512, Engine::Avx2] {
+            if !available_engines().contains(&kind.name()) {
+                errors.push(AutoBatch::with_engine(kind).unwrap_err());
             }
-            let err = AutoBatch::with_engine(kind).unwrap_err();
+        }
+        for err in errors {
             assert!(err.contains("not available"), "{err}");
             assert!(err.contains("portable"), "{err}");
         }

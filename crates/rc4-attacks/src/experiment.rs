@@ -15,7 +15,10 @@
 use serde::{Deserialize, Serialize, Value};
 
 use crate::{
-    context::ExperimentContext, experiments::Scale, report::ExperimentReport, ExperimentError,
+    context::{ExperimentContext, ProgressEvent},
+    experiments::Scale,
+    report::ExperimentReport,
+    ExperimentError,
 };
 
 /// A runnable, configurable reproduction experiment.
@@ -115,6 +118,83 @@ pub fn config_from_value<C: Deserialize>(
 /// `config_value` implementation.
 pub fn config_to_value<C: Serialize>(config: &C) -> Value {
     config.to_value()
+}
+
+/// A typed experiment configuration: its registry name and summary, its
+/// per-[`Scale`] presets and its runner. [`Configured`] turns any
+/// implementor into an [`Experiment`].
+pub trait ExperimentConfig: Serialize + Deserialize + Send + 'static {
+    /// Stable registry/CLI name (see [`Experiment::name`]).
+    const NAME: &'static str;
+    /// One-line description (see [`Experiment::summary`]).
+    const SUMMARY: &'static str;
+
+    /// The preset for `scale`.
+    fn preset(scale: Scale) -> Self;
+
+    /// Runs the experiment with this configuration under `ctx`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Experiment::run`].
+    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError>;
+}
+
+/// The [`Experiment`] carrier of an [`ExperimentConfig`]: it holds the
+/// current configuration (the `Laptop` preset until a scale or a config is
+/// applied) and brackets every run with the `Started`/`Finished` progress
+/// events.
+pub struct Configured<C> {
+    config: C,
+}
+
+impl<C: ExperimentConfig> Configured<C> {
+    /// Creates the experiment with the `Laptop`-scale preset.
+    pub fn new() -> Self {
+        Self {
+            config: C::preset(Scale::Laptop),
+        }
+    }
+}
+
+impl<C: ExperimentConfig> Default for Configured<C> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<C: ExperimentConfig> Experiment for Configured<C> {
+    fn name(&self) -> &'static str {
+        C::NAME
+    }
+
+    fn summary(&self) -> &'static str {
+        C::SUMMARY
+    }
+
+    fn apply_scale(&mut self, scale: Scale) {
+        self.config = C::preset(scale);
+    }
+
+    fn config_value(&self) -> Value {
+        config_to_value(&self.config)
+    }
+
+    fn set_config_value(&mut self, value: &Value) -> Result<(), ExperimentError> {
+        self.config = config_from_value(C::NAME, value)?;
+        Ok(())
+    }
+
+    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
+        ctx.emit(ProgressEvent::Started {
+            experiment: C::NAME,
+        });
+        let report = self.config.run(ctx)?;
+        ctx.emit(ProgressEvent::Finished {
+            experiment: C::NAME,
+        });
+        Ok(report)
+    }
 }
 
 #[cfg(test)]

@@ -20,21 +20,28 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use plaintext_recovery::{
     charset::Charset,
     likelihood::PairLikelihoods,
-    viterbi::{list_viterbi, ViterbiConfig},
+    viterbi::{list_viterbi, PairCandidate, ViterbiConfig},
 };
-use rc4_biases::{absab::alpha, distributions::PairDistribution, fm, UNIFORM_PAIR};
+use rc4_biases::absab::alpha;
 use rc4_stats::{
     pairs::{PairDataset, PositionPair},
+    streaming::{StreamingCounts, StreamingVotes},
     worker::generate_with_exec,
     GenerationConfig,
 };
+use tls_rc4::attack::candidate_margin;
 
 use crate::{
-    context::{ExperimentContext, ProgressEvent},
-    experiment::{config_from_value, config_to_value, Experiment},
-    experiments::{CountSource, Scale, DATASET_STREAMS},
+    context::ExperimentContext,
+    experiment::{Configured, ExperimentConfig},
+    experiments::{
+        streaming::{
+            format_units, headline_note, outcome_row, run_until_confident, StopRule, StreamStop,
+        },
+        CountSource, PairModel, Scale, DATASET_STREAMS,
+    },
     report::{format_percent, ExperimentReport},
-    sampling::{sample_counts_normal, stream_seed},
+    sampling::{sample_standard_normal, stream_seed},
     ExperimentError,
 };
 
@@ -143,77 +150,157 @@ pub struct Fig10Point {
     pub median_position: Option<usize>,
 }
 
-/// Samples the combined FM + ABSAB pair likelihood for one transition whose
-/// true plaintext pair is `truth`.
-fn sample_transition_likelihood(
-    truth: (u8, u8),
-    position: u64,
-    n: u64,
-    absab_relations: usize,
-    key_pair_probs: &[f64],
-    rng: &mut StdRng,
-) -> Result<PairLikelihoods, ExperimentError> {
-    // Fluhrer-McGrew part: the ground-truth ciphertext-pair distribution is
-    // the (analytic or measured) keystream-pair distribution XORed with the
-    // true plaintext pair.
-    let mut ct_probs = vec![0.0f64; 65536];
-    for k1 in 0..256usize {
-        for k2 in 0..256usize {
-            let c1 = k1 ^ truth.0 as usize;
-            let c2 = k2 ^ truth.1 as usize;
-            ct_probs[(c1 << 8) | c2] = key_pair_probs[(k1 << 8) | k2];
-        }
-    }
-    let counts = sample_counts_normal(&ct_probs, n, rng);
-    let total: u64 = counts.iter().sum();
-    let cells: Vec<(u8, u8, f64)> = fm::fm_biases_at(position)
-        .into_iter()
-        .map(|b| (b.first, b.second, b.probability))
-        .collect();
-    let mut combined = PairLikelihoods::from_counts_sparse(&counts, &cells, UNIFORM_PAIR, total)?;
+/// Known plaintext bytes flanking the cookie (`=` before, `;` after).
+const BEFORE: u8 = b'=';
+const AFTER: u8 = b';';
 
-    // ABSAB part: accumulate weighted votes per candidate pair directly. For each
-    // relation, the count of every differential value is approximately normal;
-    // only the true differential has an elevated mean. Summing relation-wise
-    // weighted counts gives the combined ABSAB log-likelihood (up to a constant).
-    let mut votes = vec![0.0f64; 65536];
-    for rel in 0..absab_relations {
-        let gap = rel % 128;
-        let a = alpha(gap);
-        let weight = a.ln() - ((1.0 - a) / 65535.0).ln();
-        let known = ((rel as u8).wrapping_mul(31), (rel as u8).wrapping_add(7));
-        let true_diff_idx = ((truth.0 ^ known.0) as usize) << 8 | (truth.1 ^ known.1) as usize;
-        // Sample only the aggregate behaviour: every cell gets ~Normal(n*u, ...),
-        // the true cell gets the alpha mean. Drawing 65536 normals per relation per
-        // transition is the dominant cost; sample the true cell exactly and treat
-        // the rest through a single common noise draw per cell batch, which keeps
-        // the ranking statistics (difference between the true cell and the others)
-        // faithful while staying fast.
-        let u = (1.0 - a) / 65535.0;
-        let n_f = n as f64;
-        let mean_other = n_f * u;
-        let sd_other = (n_f * u * (1.0 - u)).sqrt();
-        let mean_true = n_f * a;
-        let sd_true = (n_f * a * (1.0 - a)).sqrt();
-        for d0 in 0..256usize {
-            for d1 in 0..256usize {
-                let idx = (d0 << 8) | d1;
-                let (mean, sd) = if idx == true_diff_idx {
-                    (mean_true, sd_true)
-                } else {
-                    (mean_other, sd_other)
-                };
-                let draw = mean + sd * crate::sampling::sample_standard_normal(rng);
-                // XOR the known plaintext in so the vote lands on the candidate
-                // plaintext pair this differential corresponds to.
-                let mu = ((d0 ^ known.0 as usize) << 8) | (d1 ^ known.1 as usize);
-                votes[mu] += weight * draw.max(0.0);
-            }
-        }
+/// The list-Viterbi settings shared by every trial: the cookie span between
+/// its known boundary bytes, over `charset`, keeping `candidates`.
+fn cookie_viterbi(charset: &Charset, candidates: usize) -> ViterbiConfig {
+    ViterbiConfig {
+        first_known: BEFORE,
+        last_known: AFTER,
+        candidates,
+        charset: charset.clone(),
     }
-    let absab = PairLikelihoods::from_log_values(votes)?;
-    combined.combine(&absab);
-    Ok(combined)
+}
+
+/// The per-transition ground truth of a run: one [`PairModel`] for each of
+/// the `cookie_len + 1` pairs from `cookie_position` on (analytic).
+fn analytic_transitions(cookie_position: u64, cookie_len: usize) -> Vec<PairModel> {
+    (0..=cookie_len)
+        .map(|t| PairModel::analytic(cookie_position + t as u64))
+        .collect()
+}
+
+/// One cookie transition of a [`Fig10Session`]: its true plaintext pair and
+/// the FM counts and ABSAB votes accumulated so far.
+struct Transition<'m> {
+    truth: (u8, u8),
+    model: &'m PairModel,
+    fm: StreamingCounts,
+    votes: StreamingVotes,
+}
+
+/// One simulated cookie recovery: the secret cookie plus, per transition of
+/// the cookie span, the FM counts and ABSAB votes of every request ingested
+/// so far. The fixed-grid driver ingests its `n` once; `fig10-stream`
+/// ingests batch by batch and re-decodes after each.
+struct Fig10Session<'m> {
+    cookie: Vec<u8>,
+    transitions: Vec<Transition<'m>>,
+    absab_relations: usize,
+    /// Sampling distribution of the FM table being drawn, rebuilt per draw.
+    scratch: Vec<f64>,
+    /// One batch's ABSAB votes for the transition being drawn.
+    batch_votes: Vec<f64>,
+}
+
+impl<'m> Fig10Session<'m> {
+    /// Starts a trial, drawing a random cookie over `charset` from `rng`;
+    /// `models` holds one model per transition (`cookie_len + 1`).
+    fn new(
+        models: &'m [PairModel],
+        charset: &Charset,
+        absab_relations: usize,
+        rng: &mut StdRng,
+    ) -> Result<Self, ExperimentError> {
+        let alphabet = charset.values();
+        let cookie: Vec<u8> = (1..models.len())
+            .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+            .collect();
+        let full: Vec<u8> = std::iter::once(BEFORE)
+            .chain(cookie.iter().copied())
+            .chain(std::iter::once(AFTER))
+            .collect();
+        let transitions = full
+            .windows(2)
+            .zip(models)
+            .map(|(pair, model)| {
+                Ok(Transition {
+                    truth: (pair[0], pair[1]),
+                    model,
+                    fm: StreamingCounts::new(65536)?,
+                    votes: StreamingVotes::new(65536)?,
+                })
+            })
+            .collect::<Result<_, ExperimentError>>()?;
+        Ok(Self {
+            cookie,
+            transitions,
+            absab_relations,
+            scratch: vec![0.0; 65536],
+            batch_votes: vec![0.0; 65536],
+        })
+    }
+
+    /// Draws `n` more requests into every transition: the FM pair counts,
+    /// then the weighted ABSAB votes of each relation.
+    fn ingest(&mut self, n: u64, rng: &mut StdRng) -> Result<(), ExperimentError> {
+        let n_f = n as f64;
+        for tr in &mut self.transitions {
+            tr.fm.absorb(&tr.model.sample_ciphertext_counts(
+                tr.truth,
+                n,
+                &mut self.scratch,
+                rng,
+            ))?;
+            // ABSAB part: accumulate weighted votes per candidate pair
+            // directly. For each relation, the count of every differential
+            // value is approximately normal; only the true differential has
+            // an elevated mean. Summing relation-wise weighted counts gives
+            // the combined ABSAB log-likelihood (up to a constant). Votes are
+            // linear in counts, so the running table equals the votes of all
+            // requests seen so far.
+            self.batch_votes.fill(0.0);
+            for rel in 0..self.absab_relations {
+                let a = alpha(rel % 128);
+                let weight = a.ln() - ((1.0 - a) / 65535.0).ln();
+                let known = ((rel as u8).wrapping_mul(31), (rel as u8).wrapping_add(7));
+                let true_diff_idx =
+                    ((tr.truth.0 ^ known.0) as usize) << 8 | (tr.truth.1 ^ known.1) as usize;
+                let u = (1.0 - a) / 65535.0;
+                let mean_other = n_f * u;
+                let sd_other = (n_f * u * (1.0 - u)).sqrt();
+                let mean_true = n_f * a;
+                let sd_true = (n_f * a * (1.0 - a)).sqrt();
+                for d0 in 0..256usize {
+                    for d1 in 0..256usize {
+                        let idx = (d0 << 8) | d1;
+                        let (mean, sd) = if idx == true_diff_idx {
+                            (mean_true, sd_true)
+                        } else {
+                            (mean_other, sd_other)
+                        };
+                        let draw = mean + sd * sample_standard_normal(rng);
+                        // XOR the known plaintext in so the vote lands on the
+                        // candidate plaintext pair this differential implies.
+                        let mu = ((d0 ^ known.0 as usize) << 8) | (d1 ^ known.1 as usize);
+                        self.batch_votes[mu] += weight * draw.max(0.0);
+                    }
+                }
+            }
+            tr.votes.absorb(&self.batch_votes)?;
+        }
+        Ok(())
+    }
+
+    /// The combined FM + ABSAB likelihoods of each transition.
+    fn likelihoods(&self) -> Result<Vec<PairLikelihoods>, ExperimentError> {
+        self.transitions
+            .iter()
+            .map(|tr| {
+                let mut combined = tr.model.fm_likelihoods(&tr.fm)?;
+                combined.add_log_values(tr.votes.votes())?;
+                Ok(combined)
+            })
+            .collect()
+    }
+
+    /// The ranked cookie candidates of everything ingested so far.
+    fn candidates(&self, viterbi: &ViterbiConfig) -> Result<Vec<PairCandidate>, ExperimentError> {
+        Ok(list_viterbi(&self.likelihoods()?, viterbi)?)
+    }
 }
 
 /// Runs the Fig. 10 simulation.
@@ -244,25 +331,13 @@ pub fn run_with_context(
     }
 
     let base_seed = ctx.mix_seed(config.seed);
-    let alphabet = config.charset.values().to_vec();
 
     // One ground-truth keystream-pair distribution per cookie transition
     // (positions cookie_position .. cookie_position + cookie_len), computed
     // once per run: analytic FM tables, or measured from real keystreams via
     // a single pair dataset covering every transition (cache-served).
-    let transition_probs: Vec<Vec<f64>> = match config.source {
-        CountSource::Analytic => (0..=config.cookie_len)
-            .map(|t| {
-                let fm_dist = PairDistribution::fluhrer_mcgrew(config.cookie_position + t as u64);
-                let mut probs = vec![0.0f64; 65536];
-                for k1 in 0..256usize {
-                    for k2 in 0..256usize {
-                        probs[(k1 << 8) | k2] = fm_dist.prob(k1 as u8, k2 as u8);
-                    }
-                }
-                probs
-            })
-            .collect(),
+    let models: Vec<PairModel> = match config.source {
+        CountSource::Analytic => analytic_transitions(config.cookie_position, config.cookie_len),
         CountSource::Empirical { keys } => {
             let pairs: Vec<PositionPair> = (0..=config.cookie_len)
                 .map(|t| {
@@ -283,10 +358,13 @@ pub fn run_with_context(
                 Ok(())
             })?;
             (0..=config.cookie_len)
-                .map(|t| ds.joint_distribution(t))
+                .map(|t| {
+                    PairModel::new(ds.joint_distribution(t), config.cookie_position + t as u64)
+                })
                 .collect()
         }
     };
+    let viterbi = cookie_viterbi(&config.charset, config.candidates);
 
     // Monte-Carlo grid: one independent simulation per (point, trial), each
     // seeded from its own RNG stream, fanned out across the executor. The
@@ -303,43 +381,16 @@ pub fn run_with_context(
     let outcomes: Vec<Option<usize>> = ctx
         .executor()
         .map(grid, |_, (point, trial)| {
-            let n = config.request_counts[point];
             let mut rng =
                 StdRng::seed_from_u64(stream_seed(base_seed, &[point as u64, trial as u64]));
             ctx.checkpoint()?;
-            // Random cookie over the alphabet, flanked by known boundary bytes.
-            let cookie: Vec<u8> = (0..config.cookie_len)
-                .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
-                .collect();
-            let before = b'=';
-            let after = b';';
-            let full: Vec<u8> = std::iter::once(before)
-                .chain(cookie.iter().copied())
-                .chain(std::iter::once(after))
-                .collect();
-
-            let mut likelihoods = Vec::with_capacity(config.cookie_len + 1);
-            for t in 0..=config.cookie_len {
-                let truth = (full[t], full[t + 1]);
-                let position = config.cookie_position + t as u64;
-                likelihoods.push(sample_transition_likelihood(
-                    truth,
-                    position,
-                    n,
-                    config.absab_relations,
-                    &transition_probs[t],
-                    &mut rng,
-                )?);
-            }
-
-            let viterbi = ViterbiConfig {
-                first_known: before,
-                last_known: after,
-                candidates: config.candidates,
-                charset: config.charset.clone(),
-            };
-            let candidates = list_viterbi(&likelihoods, &viterbi)?;
-            let position = candidates.iter().position(|c| c.plaintext == cookie);
+            let mut session =
+                Fig10Session::new(&models, &config.charset, config.absab_relations, &mut rng)?;
+            session.ingest(config.request_counts[point], &mut rng)?;
+            let candidates = session.candidates(&viterbi)?;
+            let position = candidates
+                .iter()
+                .position(|c| c.plaintext == session.cookie);
             reporter.tick(1);
             Ok::<_, ExperimentError>(position)
         })
@@ -415,63 +466,322 @@ pub fn run_with_context(
     Ok((points, report))
 }
 
-/// [`Experiment`] carrier for the Fig. 10 HTTPS cookie brute-force sweep.
-pub struct Fig10Experiment {
-    config: Fig10Config,
+/// [`Experiment`](crate::Experiment) carrier for the Fig. 10 HTTPS cookie brute-force sweep.
+pub type Fig10Experiment = Configured<Fig10Config>;
+
+impl ExperimentConfig for Fig10Config {
+    const NAME: &'static str = "fig10";
+    const SUMMARY: &'static str = "HTTPS cookie brute-force success rate, sampled mode (Sect. 6)";
+
+    fn preset(scale: Scale) -> Self {
+        Self::for_scale(scale)
+    }
+
+    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
+        run_with_context(self, ctx).map(|(_points, report)| report)
+    }
 }
 
-impl Fig10Experiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: Fig10Config::for_scale(Scale::Laptop),
+/// Configuration of the streaming cookie recovery (`fig10 --until-confident`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Fig10StreamConfig {
+    /// Independent streaming sessions to simulate.
+    pub trials: usize,
+    /// Cookie length in bytes.
+    pub cookie_len: usize,
+    /// Cookie alphabet.
+    pub charset: Charset,
+    /// Candidate-list budget per re-score.
+    pub candidates: usize,
+    /// ABSAB relations contributing per transition.
+    pub absab_relations: usize,
+    /// Keystream position (1-based) of the first cookie byte.
+    pub cookie_position: u64,
+    /// The early-stopping rule (units: captured requests).
+    pub stop: StopRule,
+    /// RNG seed.
+    pub seed: u64,
+}
+
+impl Default for Fig10StreamConfig {
+    fn default() -> Self {
+        Self::for_scale(Scale::Laptop)
+    }
+}
+
+impl Fig10StreamConfig {
+    /// The preset for a [`Scale`].
+    pub fn for_scale(scale: Scale) -> Self {
+        let base = Self {
+            trials: 8,
+            cookie_len: 8,
+            charset: Charset::base64(),
+            candidates: 1 << 10,
+            absab_relations: 24,
+            cookie_position: 321,
+            stop: StopRule {
+                threshold: 10.0,
+                batch: 1 << 28,
+                cap: 1 << 33,
+            },
+            seed: 0x57F10,
+        };
+        match scale {
+            Scale::Quick => Self {
+                trials: 2,
+                cookie_len: 4,
+                candidates: 128,
+                absab_relations: 12,
+                stop: StopRule {
+                    threshold: 10.0,
+                    batch: 1 << 29,
+                    cap: 1 << 33,
+                },
+                ..base
+            },
+            Scale::Laptop => base,
+            Scale::Extended => Self {
+                trials: 32,
+                cookie_len: 16,
+                candidates: 1 << 15,
+                absab_relations: 258,
+                stop: StopRule {
+                    threshold: 10.0,
+                    batch: 1 << 28,
+                    cap: 1 << 35,
+                },
+                ..base
+            },
         }
     }
 }
 
-impl Default for Fig10Experiment {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Runs one streaming fig10 session: ingest batches, re-decode the
+/// accumulated tables, stop at the first confident batch or at the cap.
+/// Returns where it stopped and whether the top candidate was the cookie.
+pub(super) fn fig10_stream_trial(
+    config: &Fig10StreamConfig,
+    models: &[PairModel],
+    rng: &mut StdRng,
+    ctx: &ExperimentContext,
+) -> Result<(StreamStop, bool), ExperimentError> {
+    let mut session = Fig10Session::new(models, &config.charset, config.absab_relations, rng)?;
+    let viterbi = cookie_viterbi(&config.charset, config.candidates);
+    run_until_confident(&config.stop, ctx, |batch| {
+        session.ingest(batch, rng)?;
+        let candidates = session.candidates(&viterbi)?;
+        Ok((
+            candidate_margin(&candidates).unwrap_or(0.0),
+            candidates
+                .first()
+                .is_some_and(|c| c.plaintext == session.cookie),
+        ))
+    })
 }
 
-impl Experiment for Fig10Experiment {
-    fn name(&self) -> &'static str {
-        "fig10"
+/// Runs the streaming fig10 experiment under an explicit context.
+///
+/// # Errors
+///
+/// Returns [`ExperimentError::InvalidConfig`] for degenerate configurations,
+/// [`ExperimentError::Cancelled`] when the context flag is raised, and
+/// propagates component errors.
+pub fn run_fig10_stream(
+    config: &Fig10StreamConfig,
+    ctx: &ExperimentContext,
+) -> Result<ExperimentReport, ExperimentError> {
+    if config.trials == 0 || config.cookie_len == 0 || config.candidates == 0 {
+        return Err(ExperimentError::InvalidConfig(
+            "need at least one trial, a non-empty cookie and a candidate budget".into(),
+        ));
     }
+    config.stop.test()?;
+    let models = analytic_transitions(config.cookie_position, config.cookie_len);
 
-    fn summary(&self) -> &'static str {
-        "HTTPS cookie brute-force success rate, sampled mode (Sect. 6)"
+    let base_seed = ctx.mix_seed(config.seed);
+    let reporter = ctx.progress("fig10-stream", config.trials as u64, "trial");
+    let outcomes: Vec<(StreamStop, bool)> = ctx
+        .executor()
+        .map((0..config.trials).collect(), |_, trial| {
+            ctx.checkpoint()?;
+            let mut rng = StdRng::seed_from_u64(stream_seed(base_seed, &[trial as u64]));
+            let outcome = fig10_stream_trial(config, &models, &mut rng, ctx)?;
+            reporter.tick(1);
+            Ok::<_, ExperimentError>(outcome)
+        })
+        .map_err(ExperimentError::from)?;
+
+    let mut report = ExperimentReport::new(
+        "fig10-stream",
+        "Streaming cookie recovery: requests consumed until confident",
+        &[
+            "trial",
+            "requests at stop",
+            "stopped",
+            "margin",
+            "cookie recovered",
+        ],
+    );
+    headline_note(&mut report, &outcomes, "request", config.stop.cap);
+    report.note(format!(
+        "stop rule: top-candidate margin ≥ {} nats, re-scored every {} requests, cap {}; \
+         {}-byte cookie over {} characters, {} candidates, {} ABSAB relations, sampled mode",
+        config.stop.threshold,
+        format_units(config.stop.batch),
+        format_units(config.stop.cap),
+        config.cookie_len,
+        config.charset.len(),
+        config.candidates,
+        config.absab_relations
+    ));
+    for (trial, outcome) in outcomes.iter().enumerate() {
+        report.push_row(&outcome_row(trial, outcome));
     }
+    Ok(report)
+}
 
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = Fig10Config::for_scale(scale);
-    }
+/// [`Experiment`](crate::Experiment) carrier for the streaming fig10 variant.
+pub type Fig10StreamExperiment = Configured<Fig10StreamConfig>;
 
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
+impl ExperimentConfig for Fig10StreamConfig {
+    const NAME: &'static str = "fig10-stream";
+    const SUMMARY: &'static str =
+        "Streaming cookie recovery with early stopping (fig10 --until-confident)";
 
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
+    fn preset(scale: Scale) -> Self {
+        Self::for_scale(scale)
     }
 
     fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started {
-            experiment: "fig10",
-        });
-        let (_points, report) = run_with_context(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished {
-            experiment: "fig10",
-        });
-        Ok(report)
+        run_fig10_stream(self, ctx)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use rc4_biases::{distributions::PairDistribution, fm, UNIFORM_PAIR};
+
     use super::*;
+    use crate::sampling::sample_counts_normal;
+    use crate::{experiment::config_to_value, Experiment};
+
+    /// A fixed-grid trial's per-transition tables as computed before the
+    /// session existed: per transition, FM counts then the ABSAB votes, each
+    /// scored on its own and combined.
+    fn reference_trial(
+        n: u64,
+        cookie_len: usize,
+        absab_relations: usize,
+        cookie_position: u64,
+        charset: &Charset,
+        rng: &mut StdRng,
+    ) -> Vec<PairLikelihoods> {
+        let alphabet = charset.values();
+        let cookie: Vec<u8> = (0..cookie_len)
+            .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+            .collect();
+        let full: Vec<u8> = std::iter::once(b'=')
+            .chain(cookie.iter().copied())
+            .chain(std::iter::once(b';'))
+            .collect();
+        let mut likelihoods = Vec::new();
+        for t in 0..=cookie_len {
+            let truth = (full[t], full[t + 1]);
+            let position = cookie_position + t as u64;
+            let fm_dist = PairDistribution::fluhrer_mcgrew(position);
+            let mut ct_probs = vec![0.0f64; 65536];
+            for k1 in 0..256usize {
+                for k2 in 0..256usize {
+                    ct_probs[((k1 ^ truth.0 as usize) << 8) | (k2 ^ truth.1 as usize)] =
+                        fm_dist.prob(k1 as u8, k2 as u8);
+                }
+            }
+            let counts = sample_counts_normal(&ct_probs, n, rng);
+            let cells: Vec<(u8, u8, f64)> = fm::fm_biases_at(position)
+                .into_iter()
+                .map(|b| (b.first, b.second, b.probability))
+                .collect();
+            let mut combined = PairLikelihoods::from_counts_sparse(
+                &counts,
+                &cells,
+                UNIFORM_PAIR,
+                counts.iter().sum(),
+            )
+            .unwrap();
+            let mut votes = vec![0.0f64; 65536];
+            for rel in 0..absab_relations {
+                let a = alpha(rel % 128);
+                let weight = a.ln() - ((1.0 - a) / 65535.0).ln();
+                let known = ((rel as u8).wrapping_mul(31), (rel as u8).wrapping_add(7));
+                let true_diff_idx =
+                    ((truth.0 ^ known.0) as usize) << 8 | (truth.1 ^ known.1) as usize;
+                let (u, n_f) = ((1.0 - a) / 65535.0, n as f64);
+                for idx in 0..65536usize {
+                    let (mean, sd) = if idx == true_diff_idx {
+                        (n_f * a, (n_f * a * (1.0 - a)).sqrt())
+                    } else {
+                        (n_f * u, (n_f * u * (1.0 - u)).sqrt())
+                    };
+                    let draw = mean + sd * sample_standard_normal(rng);
+                    let mu =
+                        (((idx >> 8) ^ known.0 as usize) << 8) | ((idx & 0xff) ^ known.1 as usize);
+                    votes[mu] += weight * draw.max(0.0);
+                }
+            }
+            combined.combine(&PairLikelihoods::from_log_values(votes).unwrap());
+            likelihoods.push(combined);
+        }
+        likelihoods
+    }
+
+    fn bits(tables: &[PairLikelihoods]) -> Vec<Vec<u64>> {
+        tables
+            .iter()
+            .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn fixed_trial_at_n_equals_first_stream_batch_of_n() {
+        // Every per-transition table of a fixed-grid trial at n equals the
+        // streaming session's after one batch of n, and the RNG ends in the
+        // same state — bit for bit.
+        let charset = Charset::hex_lower();
+        let models = analytic_transitions(321, 3);
+        let ctx = ExperimentContext::default();
+        for (seed, n, relations) in [(1u64, 1u64 << 27, 4usize), (2, 9 << 27, 6), (3, 1 << 33, 2)] {
+            let mut reference_rng = StdRng::seed_from_u64(seed);
+            let reference = reference_trial(n, 3, relations, 321, &charset, &mut reference_rng);
+            let next_draw = reference_rng.gen::<u64>();
+
+            // The fixed-grid driver: one ingest of n.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fixed = Fig10Session::new(&models, &charset, relations, &mut rng).unwrap();
+            fixed.ingest(n, &mut rng).unwrap();
+            assert_eq!(
+                bits(&fixed.likelihoods().unwrap()),
+                bits(&reference),
+                "seed {seed}"
+            );
+            assert_eq!(rng.gen::<u64>(), next_draw, "seed {seed}");
+
+            // The streaming driver: the stop loop with one batch of n.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut session = Fig10Session::new(&models, &charset, relations, &mut rng).unwrap();
+            let stop = StopRule {
+                threshold: 1e15,
+                batch: n,
+                cap: n,
+            };
+            let (_, streamed) = run_until_confident(&stop, &ctx, |batch| {
+                session.ingest(batch, &mut rng)?;
+                Ok((0.0, session.likelihoods()?))
+            })
+            .unwrap();
+            assert_eq!(bits(&streamed), bits(&reference), "seed {seed}");
+            assert_eq!(rng.gen::<u64>(), next_draw, "seed {seed}");
+        }
+    }
 
     #[test]
     fn validation() {

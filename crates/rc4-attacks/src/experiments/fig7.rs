@@ -14,18 +14,24 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use plaintext_recovery::{absab::combine_pair_likelihoods, likelihood::PairLikelihoods};
-use rc4_biases::{absab::alpha, distributions::PairDistribution, UNIFORM_PAIR};
+use plaintext_recovery::likelihood::PairLikelihoods;
+use rc4_biases::absab::alpha;
 use rc4_stats::{
     pairs::{PairDataset, PositionPair},
+    streaming::StreamingCounts,
     worker::generate_with_exec,
     GenerationConfig,
 };
 
 use crate::{
-    context::{ExperimentContext, ProgressEvent},
-    experiment::{config_from_value, config_to_value, Experiment},
-    experiments::{CountSource, Scale, DATASET_STREAMS},
+    context::ExperimentContext,
+    experiment::{Configured, ExperimentConfig},
+    experiments::{
+        streaming::{
+            format_units, headline_note, outcome_row, run_until_confident, StopRule, StreamStop,
+        },
+        CountSource, PairModel, Scale, DATASET_STREAMS,
+    },
     report::{format_percent, ExperimentReport},
     sampling::{sample_counts_normal, stream_seed},
     ExperimentError,
@@ -142,81 +148,112 @@ impl Fig7Config {
     }
 }
 
-/// Runs one simulated recovery of a plaintext pair and reports success.
-fn simulate_trial(
-    strategy: RecoveryStrategy,
-    n: u64,
-    config: &Fig7Config,
-    key_pair_probs: &[f64],
-    fm_cells: &[(u8, u8, f64)],
-    rng: &mut StdRng,
-) -> Result<bool, ExperimentError> {
-    let truth: (u8, u8) = (rng.gen(), rng.gen());
+/// One ABSAB relation of a [`Fig7Session`]: the known plaintext pair, the
+/// bias `α` of its gap, and the differential counts accumulated so far.
+struct AbsabRelation {
+    known: (u8, u8),
+    alpha: f64,
+    acc: StreamingCounts,
+}
 
-    let fm_likelihood = |rng: &mut StdRng| -> Result<PairLikelihoods, ExperimentError> {
-        // Ciphertext pair counts: keystream distribution XORed with the plaintext.
-        let mut ct_probs = vec![0.0f64; 65536];
-        for k1 in 0..256usize {
-            for k2 in 0..256usize {
-                let c1 = k1 ^ truth.0 as usize;
-                let c2 = k2 ^ truth.1 as usize;
-                ct_probs[(c1 << 8) | c2] = key_pair_probs[(k1 << 8) | k2];
-            }
+/// One simulated recovery of a plaintext pair: the secret pair plus the FM
+/// and ABSAB counts of every ciphertext ingested so far. The fixed-grid
+/// driver ingests its `n` once; `fig7-stream` ingests batch by batch and
+/// re-scores after each. The FM-only strategy is a session without
+/// relations, the ABSAB-only strategy one without the FM part.
+struct Fig7Session<'m> {
+    truth: (u8, u8),
+    model: &'m PairModel,
+    fm: Option<StreamingCounts>,
+    relations: Vec<AbsabRelation>,
+    /// Sampling distribution of the table being drawn, rebuilt per draw.
+    scratch: Vec<f64>,
+}
+
+impl<'m> Fig7Session<'m> {
+    /// Starts a trial of `strategy`, drawing the secret pair from `rng`.
+    fn new(
+        strategy: RecoveryStrategy,
+        absab_relations: usize,
+        model: &'m PairModel,
+        rng: &mut StdRng,
+    ) -> Result<Self, ExperimentError> {
+        let truth: (u8, u8) = (rng.gen(), rng.gen());
+        let (use_fm, relations) = match strategy {
+            // A single relation with gap 0.
+            RecoveryStrategy::AbsabOnly => (false, 1),
+            RecoveryStrategy::FmOnly => (true, 0),
+            RecoveryStrategy::Combined => (true, absab_relations),
+        };
+        let fm = use_fm.then(|| StreamingCounts::new(65536)).transpose()?;
+        let relations = (0..relations)
+            .map(|rel| {
+                // Gaps cycle 0..=127 on both sides, mirroring the paper's
+                // setup; the known pair is arbitrary but known.
+                let gap = rel % 128;
+                Ok(AbsabRelation {
+                    known: ((gap as u8).wrapping_mul(17), (gap as u8).wrapping_add(91)),
+                    alpha: alpha(gap),
+                    acc: StreamingCounts::new(65536)?,
+                })
+            })
+            .collect::<Result<_, ExperimentError>>()?;
+        Ok(Self {
+            truth,
+            model,
+            fm,
+            relations,
+            scratch: vec![0.0; 65536],
+        })
+    }
+
+    /// Draws the counts of `n` more ciphertexts into the accumulators: the
+    /// FM pair counts first, then each relation's differential counts.
+    fn ingest(&mut self, n: u64, rng: &mut StdRng) -> Result<(), ExperimentError> {
+        if let Some(fm) = &mut self.fm {
+            fm.absorb(
+                &self
+                    .model
+                    .sample_ciphertext_counts(self.truth, n, &mut self.scratch, rng),
+            )?;
         }
-        let counts = sample_counts_normal(&ct_probs, n, rng);
-        let total: u64 = counts.iter().sum();
-        Ok(PairLikelihoods::from_counts_sparse(
-            &counts,
-            fm_cells,
-            UNIFORM_PAIR,
-            total,
-        )?)
-    };
+        for rel in &mut self.relations {
+            // Differential distribution: the true differential with
+            // probability alpha, everything else uniform.
+            let true_diff = (self.truth.0 ^ rel.known.0, self.truth.1 ^ rel.known.1);
+            self.scratch.fill((1.0 - rel.alpha) / 65535.0);
+            self.scratch[(true_diff.0 as usize) << 8 | true_diff.1 as usize] = rel.alpha;
+            rel.acc
+                .absorb(&sample_counts_normal(&self.scratch, n, rng))?;
+        }
+        Ok(())
+    }
 
-    let absab_likelihood =
-        |gap: usize, rng: &mut StdRng| -> Result<PairLikelihoods, ExperimentError> {
-            // Known plaintext pair for this relation (arbitrary but known).
-            let known = ((gap as u8).wrapping_mul(17), (gap as u8).wrapping_add(91));
-            let a = alpha(gap);
-            // Differential distribution: the true differential with prob alpha,
-            // everything else uniform.
-            let true_diff = (truth.0 ^ known.0, truth.1 ^ known.1);
-            let mut probs = vec![(1.0 - a) / 65535.0; 65536];
-            probs[(true_diff.0 as usize) << 8 | true_diff.1 as usize] = a;
-            let counts = sample_counts_normal(&probs, n, rng);
-            let total: u64 = counts.iter().sum();
-            // Same scoring as `plaintext_recovery::absab::absab_pair_likelihoods`, but
-            // operating directly on the sampled differential-count table (that function
-            // takes a streaming `DifferentialCounts` collector, which would require
-            // materializing `n` ciphertexts).
-            let ln_alpha = a.ln();
-            let ln_rest = ((1.0 - a) / 65535.0).ln();
-            let mut log = vec![0.0f64; 65536];
-            for mu1 in 0..256usize {
-                let d0 = mu1 ^ known.0 as usize;
-                for mu2 in 0..256usize {
-                    let d1 = mu2 ^ known.1 as usize;
-                    let hits = counts[(d0 << 8) | d1] as f64;
-                    log[(mu1 << 8) | mu2] = (total as f64 - hits) * ln_rest + hits * ln_alpha;
+    /// The combined likelihoods of everything ingested so far (Eq. 25): the
+    /// FM table plus, per relation in order, the ABSAB score of
+    /// `plaintext_recovery::absab::absab_pair_likelihoods`, computed directly
+    /// on the accumulated differential-count table.
+    fn score(&self) -> Result<PairLikelihoods, ExperimentError> {
+        let mut log = match &self.fm {
+            Some(fm) => self.model.fm_likelihoods(fm)?.as_slice().to_vec(),
+            None => vec![0.0; 65536],
+        };
+        for rel in &self.relations {
+            let total = rel.acc.total() as f64;
+            let ln_alpha = rel.alpha.ln();
+            let ln_rest = ((1.0 - rel.alpha) / 65535.0).ln();
+            let counts = rel.acc.counts();
+            for (mu1, row) in log.chunks_mut(256).enumerate() {
+                let d0 = mu1 ^ rel.known.0 as usize;
+                let counts_row = &counts[(d0 << 8)..(d0 << 8) + 256];
+                for (mu2, slot) in row.iter_mut().enumerate() {
+                    let hits = counts_row[mu2 ^ rel.known.1 as usize] as f64;
+                    *slot += (total - hits) * ln_rest + hits * ln_alpha;
                 }
             }
-            Ok(PairLikelihoods::from_log_values(log)?)
-        };
-
-    let combined = match strategy {
-        RecoveryStrategy::AbsabOnly => absab_likelihood(0, rng)?,
-        RecoveryStrategy::FmOnly => fm_likelihood(rng)?,
-        RecoveryStrategy::Combined => {
-            let mut parts = vec![fm_likelihood(rng)?];
-            for rel in 0..config.absab_relations {
-                // Gaps cycle 0..=127 on both sides, mirroring the paper's setup.
-                let gap = rel % 128;
-                parts.push(absab_likelihood(gap, rng)?);
-            }
-            combine_pair_likelihoods(&parts)?
         }
-    };
-    Ok(combined.best() == truth)
+        Ok(PairLikelihoods::from_log_values(log)?)
+    }
 }
 
 /// Runs the Fig. 7 experiment and reports the success rate per strategy and
@@ -248,17 +285,8 @@ pub fn run_with_context(
     }
     // Ground-truth keystream-pair distribution for the target position:
     // analytic FM model, or measured from real keystreams (cache-served).
-    let key_pair_probs: Vec<f64> = match config.source {
-        CountSource::Analytic => {
-            let fm_dist = PairDistribution::fluhrer_mcgrew(config.position);
-            let mut probs = vec![0.0f64; 65536];
-            for k1 in 0..256usize {
-                for k2 in 0..256usize {
-                    probs[(k1 << 8) | k2] = fm_dist.prob(k1 as u8, k2 as u8);
-                }
-            }
-            probs
-        }
+    let model = match config.source {
+        CountSource::Analytic => PairModel::analytic(config.position),
         CountSource::Empirical { keys } => {
             let position = config.position as usize;
             // Fixed stream count (dataset identity), threads from the
@@ -280,13 +308,9 @@ pub fn run_with_context(
                     Ok(())
                 },
             )?;
-            ds.joint_distribution(0)
+            PairModel::new(ds.joint_distribution(0), config.position)
         }
     };
-    let fm_cells: Vec<(u8, u8, f64)> = rc4_biases::fm::fm_biases_at(config.position)
-        .into_iter()
-        .map(|b| (b.first, b.second, b.probability))
-        .collect();
 
     let mut report = ExperimentReport::new(
         "fig7",
@@ -335,14 +359,14 @@ pub fn run_with_context(
                 base_seed,
                 &[point as u64, strategy as u64, trial as u64],
             ));
-            let success = simulate_trial(
+            let mut session = Fig7Session::new(
                 STRATEGIES[strategy],
-                config.ciphertext_counts[point],
-                config,
-                &key_pair_probs,
-                &fm_cells,
+                config.absab_relations,
+                &model,
                 &mut rng,
             )?;
+            session.ingest(config.ciphertext_counts[point], &mut rng)?;
+            let success = session.score()?.best() == session.truth;
             reporter.tick(1);
             Ok::<_, ExperimentError>(success)
         })
@@ -367,53 +391,181 @@ pub fn run_with_context(
     Ok(report)
 }
 
-/// [`Experiment`] carrier for the Fig. 7 two-byte recovery simulation.
-pub struct Fig7Experiment {
-    config: Fig7Config,
+/// [`Experiment`](crate::Experiment) carrier for the Fig. 7 two-byte recovery simulation.
+pub type Fig7Experiment = Configured<Fig7Config>;
+
+impl ExperimentConfig for Fig7Config {
+    const NAME: &'static str = "fig7";
+    const SUMMARY: &'static str =
+        "Success rate of decrypting two bytes: ABSAB vs FM vs combined (Sect. 4.3)";
+
+    fn preset(scale: Scale) -> Self {
+        Self::for_scale(scale)
+    }
+
+    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
+        run_with_context(self, ctx)
+    }
 }
 
-impl Fig7Experiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: Fig7Config::for_scale(Scale::Laptop),
+/// Configuration of the streaming two-byte recovery (`fig7 --until-confident`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Fig7StreamConfig {
+    /// Independent streaming sessions to simulate.
+    pub trials: usize,
+    /// ABSAB relations combined with the FM biases (as in `fig7`'s combined
+    /// strategy).
+    pub absab_relations: usize,
+    /// Keystream position of the unknown pair (determines the FM cells).
+    pub position: u64,
+    /// The early-stopping rule (units: ciphertexts).
+    pub stop: StopRule,
+    /// RNG seed.
+    pub seed: u64,
+}
+
+impl Default for Fig7StreamConfig {
+    fn default() -> Self {
+        Self::for_scale(Scale::Laptop)
+    }
+}
+
+impl Fig7StreamConfig {
+    /// The preset for a [`Scale`].
+    pub fn for_scale(scale: Scale) -> Self {
+        let base = Self {
+            trials: 16,
+            absab_relations: 64,
+            position: 257,
+            stop: StopRule {
+                threshold: 10.0,
+                batch: 1 << 30,
+                cap: 1 << 35,
+            },
+            seed: 0x57F7,
+        };
+        match scale {
+            Scale::Quick => Self {
+                trials: 4,
+                absab_relations: 32,
+                stop: StopRule {
+                    threshold: 10.0,
+                    batch: 1 << 31,
+                    cap: 1 << 35,
+                },
+                ..base
+            },
+            Scale::Laptop => base,
+            Scale::Extended => Self {
+                trials: 64,
+                absab_relations: 258,
+                stop: StopRule {
+                    threshold: 10.0,
+                    batch: 1 << 30,
+                    cap: 1 << 37,
+                },
+                ..base
+            },
         }
     }
 }
 
-impl Default for Fig7Experiment {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Runs one streaming fig7 session (the combined strategy): ingest batches,
+/// re-score the accumulated tables, stop at the first confident batch or at
+/// the cap. Returns where it stopped and whether the top pair was the truth.
+pub(super) fn fig7_stream_trial(
+    config: &Fig7StreamConfig,
+    model: &PairModel,
+    rng: &mut StdRng,
+    ctx: &ExperimentContext,
+) -> Result<(StreamStop, bool), ExperimentError> {
+    let mut session = Fig7Session::new(
+        RecoveryStrategy::Combined,
+        config.absab_relations,
+        model,
+        rng,
+    )?;
+    run_until_confident(&config.stop, ctx, |batch| {
+        session.ingest(batch, rng)?;
+        let combined = session.score()?;
+        Ok((combined.margin(), combined.best() == session.truth))
+    })
 }
 
-impl Experiment for Fig7Experiment {
-    fn name(&self) -> &'static str {
-        "fig7"
+/// Runs the streaming fig7 experiment under an explicit context.
+///
+/// # Errors
+///
+/// Returns [`ExperimentError::InvalidConfig`] for degenerate configurations,
+/// [`ExperimentError::Cancelled`] when the context flag is raised, and
+/// propagates component errors.
+pub fn run_fig7_stream(
+    config: &Fig7StreamConfig,
+    ctx: &ExperimentContext,
+) -> Result<ExperimentReport, ExperimentError> {
+    if config.trials == 0 {
+        return Err(ExperimentError::InvalidConfig(
+            "need at least one streaming trial".into(),
+        ));
     }
+    config.stop.test()?;
+    let model = PairModel::analytic(config.position);
 
-    fn summary(&self) -> &'static str {
-        "Success rate of decrypting two bytes: ABSAB vs FM vs combined (Sect. 4.3)"
+    // Every trial is an independent streaming session on its own RNG stream,
+    // fanned out across the executor: byte-identical for any worker count.
+    let base_seed = ctx.mix_seed(config.seed);
+    let reporter = ctx.progress("fig7-stream", config.trials as u64, "trial");
+    let outcomes: Vec<(StreamStop, bool)> = ctx
+        .executor()
+        .map((0..config.trials).collect(), |_, trial| {
+            ctx.checkpoint()?;
+            let mut rng = StdRng::seed_from_u64(stream_seed(base_seed, &[trial as u64]));
+            let outcome = fig7_stream_trial(config, &model, &mut rng, ctx)?;
+            reporter.tick(1);
+            Ok::<_, ExperimentError>(outcome)
+        })
+        .map_err(ExperimentError::from)?;
+
+    let mut report = ExperimentReport::new(
+        "fig7-stream",
+        "Streaming two-byte recovery: ciphertexts consumed until confident",
+        &[
+            "trial",
+            "ciphertexts at stop",
+            "stopped",
+            "margin",
+            "correct",
+        ],
+    );
+    headline_note(&mut report, &outcomes, "ciphertext", config.stop.cap);
+    report.note(format!(
+        "stop rule: top-candidate margin ≥ {} nats, re-scored every {} ciphertexts, cap {}; \
+         FM + {} ABSAB relations, sampled mode",
+        config.stop.threshold,
+        format_units(config.stop.batch),
+        format_units(config.stop.cap),
+        config.absab_relations
+    ));
+    for (trial, outcome) in outcomes.iter().enumerate() {
+        report.push_row(&outcome_row(trial, outcome));
     }
+    Ok(report)
+}
 
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = Fig7Config::for_scale(scale);
-    }
+/// [`Experiment`](crate::Experiment) carrier for the streaming fig7 variant.
+pub type Fig7StreamExperiment = Configured<Fig7StreamConfig>;
 
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
+impl ExperimentConfig for Fig7StreamConfig {
+    const NAME: &'static str = "fig7-stream";
+    const SUMMARY: &'static str =
+        "Streaming two-byte recovery with early stopping (fig7 --until-confident)";
 
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
+    fn preset(scale: Scale) -> Self {
+        Self::for_scale(scale)
     }
 
     fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started { experiment: "fig7" });
-        let report = run_with_context(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished { experiment: "fig7" });
-        Ok(report)
+        run_fig7_stream(self, ctx)
     }
 }
 
@@ -426,7 +578,113 @@ pub fn parse_rates(report: &ExperimentReport, row: usize) -> (f64, f64, f64) {
 
 #[cfg(test)]
 mod tests {
+    use plaintext_recovery::absab::combine_pair_likelihoods;
+    use rc4_biases::{distributions::PairDistribution, fm, UNIFORM_PAIR};
+
     use super::*;
+    use crate::{experiment::config_to_value, Experiment};
+
+    /// A fixed-grid Combined trial as computed before the session existed:
+    /// every table sampled and scored on its own, then summed (Eq. 25).
+    fn reference_combined_trial(
+        n: u64,
+        absab_relations: usize,
+        position: u64,
+        rng: &mut StdRng,
+    ) -> PairLikelihoods {
+        let truth: (u8, u8) = (rng.gen(), rng.gen());
+        let fm_dist = PairDistribution::fluhrer_mcgrew(position);
+        let mut ct_probs = vec![0.0f64; 65536];
+        for k1 in 0..256usize {
+            for k2 in 0..256usize {
+                ct_probs[((k1 ^ truth.0 as usize) << 8) | (k2 ^ truth.1 as usize)] =
+                    fm_dist.prob(k1 as u8, k2 as u8);
+            }
+        }
+        let cells: Vec<(u8, u8, f64)> = fm::fm_biases_at(position)
+            .into_iter()
+            .map(|b| (b.first, b.second, b.probability))
+            .collect();
+        let counts = sample_counts_normal(&ct_probs, n, rng);
+        let total = counts.iter().sum();
+        let mut parts =
+            vec![
+                PairLikelihoods::from_counts_sparse(&counts, &cells, UNIFORM_PAIR, total).unwrap(),
+            ];
+        for rel in 0..absab_relations {
+            let gap = rel % 128;
+            let known = ((gap as u8).wrapping_mul(17), (gap as u8).wrapping_add(91));
+            let a = alpha(gap);
+            let mut probs = vec![(1.0 - a) / 65535.0; 65536];
+            probs[((truth.0 ^ known.0) as usize) << 8 | (truth.1 ^ known.1) as usize] = a;
+            let counts = sample_counts_normal(&probs, n, rng);
+            let total = counts.iter().sum::<u64>() as f64;
+            let (ln_alpha, ln_rest) = (a.ln(), ((1.0 - a) / 65535.0).ln());
+            let mut log = vec![0.0f64; 65536];
+            for mu1 in 0..256usize {
+                for mu2 in 0..256usize {
+                    let d = ((mu1 ^ known.0 as usize) << 8) | (mu2 ^ known.1 as usize);
+                    let hits = counts[d] as f64;
+                    log[(mu1 << 8) | mu2] = (total - hits) * ln_rest + hits * ln_alpha;
+                }
+            }
+            parts.push(PairLikelihoods::from_log_values(log).unwrap());
+        }
+        combine_pair_likelihoods(&parts).unwrap()
+    }
+
+    fn bits(likelihoods: &PairLikelihoods) -> Vec<u64> {
+        likelihoods.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn fixed_trial_at_n_equals_first_stream_batch_of_n() {
+        // The premise of sharing one session: a fixed-grid Combined trial at
+        // n and a streaming trial's first batch of n give the same table and
+        // leave the RNG in the same state — bit for bit.
+        let model = PairModel::analytic(257);
+        let ctx = ExperimentContext::default();
+        for (seed, n, relations) in [
+            (1u64, 1u64 << 27, 8usize),
+            (2, 1 << 31, 8),
+            (3, 1 << 35, 8),
+            (4, 3 << 29, 130),
+        ] {
+            let mut reference_rng = StdRng::seed_from_u64(seed);
+            let reference = reference_combined_trial(n, relations, 257, &mut reference_rng);
+            let next_draw = reference_rng.gen::<u64>();
+
+            // The fixed-grid driver: one ingest of n.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fixed =
+                Fig7Session::new(RecoveryStrategy::Combined, relations, &model, &mut rng).unwrap();
+            fixed.ingest(n, &mut rng).unwrap();
+            assert_eq!(
+                bits(&fixed.score().unwrap()),
+                bits(&reference),
+                "seed {seed}"
+            );
+            assert_eq!(rng.gen::<u64>(), next_draw, "seed {seed}");
+
+            // The streaming driver: the stop loop with one batch of n.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut session =
+                Fig7Session::new(RecoveryStrategy::Combined, relations, &model, &mut rng).unwrap();
+            let stop = StopRule {
+                threshold: 1e15,
+                batch: n,
+                cap: n,
+            };
+            let (_, streamed) = run_until_confident(&stop, &ctx, |batch| {
+                session.ingest(batch, &mut rng)?;
+                let score = session.score()?;
+                Ok((score.margin(), score))
+            })
+            .unwrap();
+            assert_eq!(bits(&streamed), bits(&reference), "seed {seed}");
+            assert_eq!(rng.gen::<u64>(), next_draw, "seed {seed}");
+        }
+    }
 
     #[test]
     fn validation() {

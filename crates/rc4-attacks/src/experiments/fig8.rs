@@ -34,8 +34,8 @@ use wpa_tkip::{
 };
 
 use crate::{
-    context::{ExperimentContext, ProgressEvent},
-    experiment::{config_from_value, config_to_value, Experiment},
+    context::ExperimentContext,
+    experiment::{Configured, ExperimentConfig},
     experiments::{Scale, DATASET_STREAMS},
     report::{format_percent, ExperimentReport},
     sampling::{sample_index, stream_seed},
@@ -384,61 +384,29 @@ pub fn run_with_context(
     Ok((points, report))
 }
 
-/// [`Experiment`] carrier for the Fig. 8 / Fig. 9 TKIP MIC-key recovery
+/// [`Experiment`](crate::Experiment) carrier for the Fig. 8 / Fig. 9 TKIP MIC-key recovery
 /// simulation (the report covers both figures, so the registry also exposes
 /// this experiment under the `fig9` alias).
-pub struct Fig8Experiment {
-    config: Fig8Config,
-}
+pub type Fig8Experiment = Configured<Fig8Config>;
 
-impl Fig8Experiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: Fig8Config::for_scale(Scale::Laptop),
-        }
-    }
-}
+impl ExperimentConfig for Fig8Config {
+    const NAME: &'static str = "fig8";
+    const SUMMARY: &'static str =
+        "TKIP MIC-key recovery success rate and candidate position (Fig. 8/9)";
 
-impl Default for Fig8Experiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for Fig8Experiment {
-    fn name(&self) -> &'static str {
-        "fig8"
-    }
-
-    fn summary(&self) -> &'static str {
-        "TKIP MIC-key recovery success rate and candidate position (Fig. 8/9)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = Fig8Config::for_scale(scale);
-    }
-
-    fn config_value(&self) -> Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
+    fn preset(scale: Scale) -> Self {
+        Self::for_scale(scale)
     }
 
     fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started { experiment: "fig8" });
-        let (_points, report) = run_with_context(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished { experiment: "fig8" });
-        Ok(report)
+        run_with_context(self, ctx).map(|(_points, report)| report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{experiment::config_to_value, Experiment};
 
     #[test]
     fn validation() {

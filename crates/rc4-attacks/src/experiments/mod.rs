@@ -9,11 +9,11 @@
 //! * [`fig10`] — the HTTPS cookie brute-force success curve of Section 6.
 //! * [`tkip_attack`] — the end-to-end WPA-TKIP attack of Section 5.
 //! * [`tls_cookie`] — the end-to-end HTTPS cookie attack of Section 6.
-//! * [`streaming`] — streaming-ingestion variants of `fig7`, `fig10` and
-//!   `tls-cookie` with sequential early stopping (`--until-confident`):
-//!   ciphertexts stream in batch by batch, count tables update in place and
-//!   the attack stops once the top candidate's likelihood margin clears a
-//!   confidence threshold.
+//! * [`streaming`] — the sequential early-stopping rule of the `-stream`
+//!   variants of `fig7`, `fig10` and `tls-cookie` (`--until-confident`):
+//!   each variant feeds its attack's session batch by batch and stops once
+//!   the top candidate's likelihood margin clears a confidence threshold.
+//!   The variants themselves live next to their fixed-grid siblings.
 //!
 //! All drivers are deterministic for a fixed configuration (seeds included in
 //! the configs) and return [`crate::report::ExperimentReport`]s. Every driver
@@ -29,9 +29,17 @@ pub mod streaming;
 pub mod tkip_attack;
 pub mod tls_cookie;
 
+use rand::rngs::StdRng;
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::{experiment::Experiment, registry::ExperimentFactory};
+use plaintext_recovery::likelihood::PairLikelihoods;
+use rc4_biases::{distributions::PairDistribution, fm, UNIFORM_PAIR};
+use rc4_stats::streaming::StreamingCounts;
+
+use crate::{
+    experiment::Experiment, registry::ExperimentFactory, sampling::sample_counts_normal,
+    ExperimentError,
+};
 
 /// Fixed logical stream count for the empirical keystream datasets the
 /// attack-model experiments generate ([`CountSource::Empirical`], fig8's
@@ -136,6 +144,76 @@ impl Deserialize for CountSource {
     }
 }
 
+/// The ground truth of one unknown plaintext pair in the sampled-mode
+/// recoveries (`fig7`, `fig10` and their `-stream` variants): the
+/// keystream-pair distribution at its position and the Fluhrer–McGrew cells
+/// the attacker scores against.
+pub(crate) struct PairModel {
+    key_pair_probs: Vec<f64>,
+    fm_cells: Vec<(u8, u8, f64)>,
+}
+
+impl PairModel {
+    /// The analytic Fluhrer–McGrew model of the pair at `position`.
+    pub(crate) fn analytic(position: u64) -> Self {
+        let fm_dist = PairDistribution::fluhrer_mcgrew(position);
+        let mut probs = vec![0.0f64; 65536];
+        for k1 in 0..256usize {
+            for k2 in 0..256usize {
+                probs[(k1 << 8) | k2] = fm_dist.prob(k1 as u8, k2 as u8);
+            }
+        }
+        Self::new(probs, position)
+    }
+
+    /// A pair at `position` whose keystream pairs follow `key_pair_probs`
+    /// (65536 entries, row-major in the first byte).
+    pub(crate) fn new(key_pair_probs: Vec<f64>, position: u64) -> Self {
+        let fm_cells = fm::fm_biases_at(position)
+            .into_iter()
+            .map(|b| (b.first, b.second, b.probability))
+            .collect();
+        Self {
+            key_pair_probs,
+            fm_cells,
+        }
+    }
+
+    /// Draws the counts of `n` ciphertext pairs encrypting `truth`. Their
+    /// distribution — the keystream-pair distribution XORed with the
+    /// plaintext — is built in `scratch` (65536 entries).
+    pub(crate) fn sample_ciphertext_counts(
+        &self,
+        truth: (u8, u8),
+        n: u64,
+        scratch: &mut [f64],
+        rng: &mut StdRng,
+    ) -> Vec<u64> {
+        for k1 in 0..256usize {
+            for k2 in 0..256usize {
+                let c1 = k1 ^ truth.0 as usize;
+                let c2 = k2 ^ truth.1 as usize;
+                scratch[(c1 << 8) | c2] = self.key_pair_probs[(k1 << 8) | k2];
+            }
+        }
+        sample_counts_normal(scratch, n, rng)
+    }
+
+    /// The FM log-likelihoods of the ciphertext pairs counted in `acc`
+    /// (the paper's sparse Eq. 15).
+    pub(crate) fn fm_likelihoods(
+        &self,
+        acc: &StreamingCounts,
+    ) -> Result<PairLikelihoods, ExperimentError> {
+        Ok(PairLikelihoods::from_counts_sparse(
+            acc.counts(),
+            &self.fm_cells,
+            UNIFORM_PAIR,
+            acc.total(),
+        )?)
+    }
+}
+
 /// The built-in experiments in canonical `run all` order, each with its alias
 /// list — the single source [`crate::Registry::with_defaults`] is built from.
 pub fn default_experiments() -> Vec<(ExperimentFactory, &'static [&'static str])> {
@@ -161,15 +239,15 @@ pub fn default_experiments() -> Vec<(ExperimentFactory, &'static [&'static str])
         (boxed::<tkip_attack::TkipAttackExperiment>, &[]),
         (boxed::<tls_cookie::TlsCookieExperiment>, &[]),
         (
-            boxed::<streaming::Fig7StreamExperiment>,
+            boxed::<fig7::Fig7StreamExperiment>,
             &["fig7-until-confident"] as &[&str],
         ),
         (
-            boxed::<streaming::Fig10StreamExperiment>,
+            boxed::<fig10::Fig10StreamExperiment>,
             &["fig10-until-confident"] as &[&str],
         ),
         (
-            boxed::<streaming::TlsCookieStreamExperiment>,
+            boxed::<tls_cookie::TlsCookieStreamExperiment>,
             &["tls-cookie-until-confident"] as &[&str],
         ),
     ]

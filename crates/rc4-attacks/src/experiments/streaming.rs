@@ -1,62 +1,41 @@
-//! Streaming ingestion with sequential early stopping (ROADMAP item 4).
+//! Sequential early stopping for the streaming attack variants.
 //!
 //! The fixed-grid experiments (`fig7`, `fig10`, `tls-cookie`) answer "does
 //! the attack succeed at `n` ciphertexts" for a sweep of `n`. Production
 //! traffic arrives continuously, so the operational question is the
 //! converse: **how many ciphertexts did *this* session actually need?**
 //!
-//! The streaming variants in this module ingest ciphertext copies batch by
-//! batch from the same simulated generators the fixed-grid drivers use,
-//! accumulate the count tables in place
+//! Each attack keeps one private session type next to its fixed-grid driver
+//! (`fig7::Fig7Session`, `fig10::Fig10Session`,
+//! `tls_cookie::TlsCookieSession`) that owns a trial's state and ingests
+//! ciphertext copies into in-place accumulators
 //! ([`rc4_stats::streaming::StreamingCounts`] /
-//! [`rc4_stats::streaming::StreamingVotes`]), re-score the candidate ranking
-//! after every batch, and feed the top-candidate likelihood margin over the
-//! runner-up into a latching sequential test
+//! [`rc4_stats::streaming::StreamingVotes`], or the TLS
+//! `CookieStatistics`). The fixed-grid driver ingests its `n` once; the
+//! `-stream` driver hands the same session to `run_until_confident`, which
+//! ingests batch by batch, re-scores the accumulated tables after every
+//! batch, and feeds the top candidate's likelihood margin over the runner-up
+//! into a latching sequential test
 //! ([`plaintext_recovery::streaming::SequentialTest`]). The attack stops at
 //! the first batch whose margin clears the configured confidence threshold;
 //! a stream that never clears it runs to the configured cap and reports
 //! "no decision". The headline metric is ciphertexts consumed at stop.
 //!
-//! Re-scoring the *accumulated* table per batch is statistically faithful
-//! and cheap: the log-likelihoods are linear in the counts, sums of the
-//! per-batch normal draws are again normal with the right aggregate mean,
-//! and the sparse scoring cost is independent of the count magnitudes.
+//! Because both drivers share the session, a fixed-grid trial at `n` equals
+//! a streaming trial's first batch of `n`, bit for bit: the same likelihood
+//! tables and the same RNG state afterwards (pinned by tests in `fig7` and
+//! `fig10`).
 //!
 //! Determinism: every trial draws from its own RNG stream
 //! (`stream_seed(base, &[trial])`), ingests its batches sequentially within
 //! the trial, and the trials fan out across the context's executor — so the
-//! full report is byte-identical for any `--workers` count, extending the
-//! PR-5 determinism contract to streaming mode.
+//! full report is byte-identical for any `--workers` count.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use plaintext_recovery::{
-    charset::Charset,
-    likelihood::PairLikelihoods,
-    streaming::SequentialTest,
-    viterbi::{list_viterbi, ViterbiConfig},
-};
-use rc4_biases::{absab::alpha, distributions::PairDistribution, fm, UNIFORM_PAIR};
-use rc4_stats::streaming::{StreamingCounts, StreamingVotes};
-use tls_rc4::{
-    attack::{
-        brute_force_cookie, candidate_margin, cookie_candidates_with_exec, CookieAttackConfig,
-        CookieStatistics,
-    },
-    http::RequestTemplate,
-    record::MAC_LEN,
-    traffic::{TrafficConfig, TrafficGenerator},
-};
+use plaintext_recovery::streaming::SequentialTest;
 
-use crate::{
-    context::{ExperimentContext, ProgressEvent},
-    experiment::{config_from_value, config_to_value, Experiment},
-    experiments::Scale,
-    report::ExperimentReport,
-    sampling::{sample_counts_normal, sample_standard_normal, stream_seed},
-    ExperimentError,
-};
+use crate::{context::ExperimentContext, report::ExperimentReport, ExperimentError};
 
 /// The early-stopping rule shared by every streaming experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -96,50 +75,89 @@ impl StopRule {
     }
 }
 
-/// Outcome of one streaming trial.
+/// Where one streaming trial stopped.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct StreamOutcome {
+pub(crate) struct StreamStop {
     /// Units consumed when the trial ended (at the decision, or the cap).
-    consumed: u64,
+    pub(crate) consumed: u64,
     /// Whether the sequential test decided before the cap.
-    decided: bool,
+    pub(crate) decided: bool,
     /// The margin at the decision (or at the cap, for undecided trials).
-    margin: f64,
-    /// Whether the top-ranked candidate at stop was the true plaintext.
-    correct: bool,
+    pub(crate) margin: f64,
+}
+
+/// The stop loop of every streaming attack: checkpoint → ingest → rescore →
+/// observe → decision, until the test decides or the cap is reached.
+///
+/// `step(batch)` ingests `batch` units into the caller's session, re-scores
+/// the accumulated tables and returns the top-candidate margin together with
+/// whatever the caller keeps from the score (the last one is returned).
+/// Cancellation is polled before every batch, so a raised flag interrupts a
+/// long stream promptly.
+///
+/// # Errors
+///
+/// Returns [`ExperimentError::InvalidConfig`] for an invalid rule,
+/// [`ExperimentError::Cancelled`] when the context flag is raised, and
+/// propagates `step`'s errors.
+pub(crate) fn run_until_confident<T>(
+    stop: &StopRule,
+    ctx: &ExperimentContext,
+    mut step: impl FnMut(u64) -> Result<(f64, T), ExperimentError>,
+) -> Result<(StreamStop, T), ExperimentError> {
+    let mut test = stop.test()?;
+    let mut consumed = 0u64;
+    loop {
+        ctx.checkpoint()?;
+        let batch = (stop.cap - consumed).min(stop.batch);
+        let (margin, score) = step(batch)?;
+        consumed += batch;
+        if test.observe(consumed, margin).is_decided() || consumed >= stop.cap {
+            let decided = test.is_decided();
+            let (consumed, margin) = test.decision().unwrap_or((consumed, margin));
+            let stop = StreamStop {
+                consumed,
+                decided,
+                margin,
+            };
+            return Ok((stop, score));
+        }
+    }
 }
 
 /// Formats a unit count as `count (2^x)` for the report tables.
-fn format_units(n: u64) -> String {
+pub(crate) fn format_units(n: u64) -> String {
     format!("{} (2^{:.1})", n, (n as f64).log2())
 }
 
-/// Renders the shared per-trial outcome row.
-fn outcome_row(trial: usize, outcome: &StreamOutcome, correct_label: &str) -> Vec<String> {
+/// Renders the per-trial row of a multi-trial streaming report: where the
+/// trial stopped and whether its top candidate was the true plaintext.
+pub(crate) fn outcome_row(trial: usize, (stop, correct): &(StreamStop, bool)) -> Vec<String> {
     vec![
         trial.to_string(),
-        format_units(outcome.consumed),
-        if outcome.decided {
+        format_units(stop.consumed),
+        if stop.decided {
             "early (confident)".to_string()
         } else {
             "cap (no decision)".to_string()
         },
-        format!("{:.1}", outcome.margin),
-        if outcome.correct {
-            correct_label.to_string()
-        } else {
-            "no".to_string()
-        },
+        format!("{:.1}", stop.margin),
+        if *correct { "yes" } else { "no" }.to_string(),
     ]
 }
 
-/// Appends the headline note — ciphertexts consumed at stop — plus the
-/// explicit no-decision accounting.
-fn headline_note(report: &mut ExperimentReport, outcomes: &[StreamOutcome], unit: &str, cap: u64) {
+/// Appends the headline note — units consumed at stop — plus the explicit
+/// no-decision accounting.
+pub(crate) fn headline_note(
+    report: &mut ExperimentReport,
+    outcomes: &[(StreamStop, bool)],
+    unit: &str,
+    cap: u64,
+) {
     let mut at_stop: Vec<u64> = outcomes
         .iter()
-        .filter(|o| o.decided)
-        .map(|o| o.consumed)
+        .filter(|(stop, _)| stop.decided)
+        .map(|(stop, _)| stop.consumed)
         .collect();
     at_stop.sort_unstable();
     if at_stop.is_empty() {
@@ -162,930 +180,20 @@ fn headline_note(report: &mut ExperimentReport, outcomes: &[StreamOutcome], unit
     }
 }
 
-// ---------------------------------------------------------------------------
-// fig7-stream
-// ---------------------------------------------------------------------------
-
-/// Configuration of the streaming two-byte recovery (`fig7 --until-confident`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig7StreamConfig {
-    /// Independent streaming sessions to simulate.
-    pub trials: usize,
-    /// ABSAB relations combined with the FM biases (as in `fig7`'s combined
-    /// strategy).
-    pub absab_relations: usize,
-    /// Keystream position of the unknown pair (determines the FM cells).
-    pub position: u64,
-    /// The early-stopping rule (units: ciphertexts).
-    pub stop: StopRule,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for Fig7StreamConfig {
-    fn default() -> Self {
-        Self::for_scale(Scale::Laptop)
-    }
-}
-
-impl Fig7StreamConfig {
-    /// The preset for a [`Scale`].
-    pub fn for_scale(scale: Scale) -> Self {
-        let base = Self {
-            trials: 16,
-            absab_relations: 64,
-            position: 257,
-            stop: StopRule {
-                threshold: 10.0,
-                batch: 1 << 30,
-                cap: 1 << 35,
-            },
-            seed: 0x57F7,
-        };
-        match scale {
-            Scale::Quick => Self {
-                trials: 4,
-                absab_relations: 32,
-                stop: StopRule {
-                    threshold: 10.0,
-                    batch: 1 << 31,
-                    cap: 1 << 35,
-                },
-                ..base
-            },
-            Scale::Laptop => base,
-            Scale::Extended => Self {
-                trials: 64,
-                absab_relations: 258,
-                stop: StopRule {
-                    threshold: 10.0,
-                    batch: 1 << 30,
-                    cap: 1 << 37,
-                },
-                ..base
-            },
-        }
-    }
-}
-
-/// One ABSAB relation's streaming state: the differential-count distribution
-/// for this trial's truth, the log weights, and the in-place accumulator.
-struct RelationStream {
-    known: (usize, usize),
-    probs: Vec<f64>,
-    ln_alpha: f64,
-    ln_rest: f64,
-    acc: StreamingCounts,
-}
-
-/// Runs one streaming fig7 session: ingest batches, re-score the accumulated
-/// tables, stop at the first confident batch or at the cap.
-fn fig7_stream_trial(
-    config: &Fig7StreamConfig,
-    key_pair_probs: &[f64],
-    fm_cells: &[(u8, u8, f64)],
-    rng: &mut StdRng,
-    ctx: &ExperimentContext,
-) -> Result<StreamOutcome, ExperimentError> {
-    let truth: (u8, u8) = (rng.gen(), rng.gen());
-
-    // Ciphertext-pair distribution: the keystream distribution XORed with
-    // the (unknown to the attacker) plaintext pair.
-    let mut ct_probs = vec![0.0f64; 65536];
-    for k1 in 0..256usize {
-        for k2 in 0..256usize {
-            let c1 = k1 ^ truth.0 as usize;
-            let c2 = k2 ^ truth.1 as usize;
-            ct_probs[(c1 << 8) | c2] = key_pair_probs[(k1 << 8) | k2];
-        }
-    }
-    let mut fm_acc = StreamingCounts::new(65536).map_err(ExperimentError::from)?;
-
-    // Per-relation differential distributions, as in fig7's combined
-    // strategy (gaps cycle 0..=127, known pairs arbitrary but known).
-    let mut relations = Vec::with_capacity(config.absab_relations);
-    for rel in 0..config.absab_relations {
-        let gap = rel % 128;
-        let known = ((gap as u8).wrapping_mul(17), (gap as u8).wrapping_add(91));
-        let a = alpha(gap);
-        let true_diff = (truth.0 ^ known.0, truth.1 ^ known.1);
-        let mut probs = vec![(1.0 - a) / 65535.0; 65536];
-        probs[(true_diff.0 as usize) << 8 | true_diff.1 as usize] = a;
-        relations.push(RelationStream {
-            known: (known.0 as usize, known.1 as usize),
-            probs,
-            ln_alpha: a.ln(),
-            ln_rest: ((1.0 - a) / 65535.0).ln(),
-            acc: StreamingCounts::new(65536).map_err(ExperimentError::from)?,
-        });
-    }
-
-    let mut test = config.stop.test()?;
-    let mut consumed = 0u64;
-    let mut margin = 0.0f64;
-    let mut correct = false;
-    while consumed < config.stop.cap {
-        // A trial spans many ingest batches; poll cancellation per batch so a
-        // raised flag interrupts the stream promptly, not at the next trial.
-        ctx.checkpoint()?;
-        // Ingest one batch of simulated ciphertext copies into the
-        // accumulated count tables (in place — nothing is re-materialized).
-        let batch = (config.stop.cap - consumed).min(config.stop.batch);
-        fm_acc
-            .absorb(&sample_counts_normal(&ct_probs, batch, rng))
-            .map_err(ExperimentError::from)?;
-        for rel in &mut relations {
-            rel.acc
-                .absorb(&sample_counts_normal(&rel.probs, batch, rng))
-                .map_err(ExperimentError::from)?;
-        }
-        consumed += batch;
-
-        // Re-score the ACCUMULATED tables. Log-likelihoods are linear in
-        // counts, so this is exactly the score of all ciphertexts seen so
-        // far, at the cost of scoring a single batch.
-        let fm = PairLikelihoods::from_counts_sparse(
-            fm_acc.counts(),
-            fm_cells,
-            UNIFORM_PAIR,
-            fm_acc.total(),
-        )?;
-        let mut log = fm.as_slice().to_vec();
-        for rel in &relations {
-            let total = rel.acc.total() as f64;
-            let counts = rel.acc.counts();
-            for (mu1, row) in log.chunks_mut(256).enumerate() {
-                let d0 = mu1 ^ rel.known.0;
-                let counts_row = &counts[(d0 << 8)..(d0 << 8) + 256];
-                for (mu2, slot) in row.iter_mut().enumerate() {
-                    let hits = counts_row[mu2 ^ rel.known.1] as f64;
-                    *slot += (total - hits) * rel.ln_rest + hits * rel.ln_alpha;
-                }
-            }
-        }
-        let combined = PairLikelihoods::from_log_values(log)?;
-        margin = combined.margin();
-        correct = combined.best() == truth;
-        if test.observe(consumed, margin).is_decided() {
-            break;
-        }
-    }
-    let decided = test.is_decided();
-    let (consumed, margin) = test.decision().unwrap_or((consumed, margin));
-    Ok(StreamOutcome {
-        consumed,
-        decided,
-        margin,
-        correct,
-    })
-}
-
-/// Runs the streaming fig7 experiment under an explicit context.
-///
-/// # Errors
-///
-/// Returns [`ExperimentError::InvalidConfig`] for degenerate configurations,
-/// [`ExperimentError::Cancelled`] when the context flag is raised, and
-/// propagates component errors.
-pub fn run_fig7_stream(
-    config: &Fig7StreamConfig,
-    ctx: &ExperimentContext,
-) -> Result<ExperimentReport, ExperimentError> {
-    if config.trials == 0 {
-        return Err(ExperimentError::InvalidConfig(
-            "need at least one streaming trial".into(),
-        ));
-    }
-    config.stop.test()?;
-
-    let fm_dist = PairDistribution::fluhrer_mcgrew(config.position);
-    let mut key_pair_probs = vec![0.0f64; 65536];
-    for k1 in 0..256usize {
-        for k2 in 0..256usize {
-            key_pair_probs[(k1 << 8) | k2] = fm_dist.prob(k1 as u8, k2 as u8);
-        }
-    }
-    let fm_cells: Vec<(u8, u8, f64)> = fm::fm_biases_at(config.position)
-        .into_iter()
-        .map(|b| (b.first, b.second, b.probability))
-        .collect();
-
-    // Every trial is an independent streaming session on its own RNG stream,
-    // fanned out across the executor: byte-identical for any worker count.
-    let base_seed = ctx.mix_seed(config.seed);
-    let reporter = ctx.progress("fig7-stream", config.trials as u64, "trial");
-    let outcomes: Vec<StreamOutcome> = ctx
-        .executor()
-        .map((0..config.trials).collect(), |_, trial| {
-            ctx.checkpoint()?;
-            let mut rng = StdRng::seed_from_u64(stream_seed(base_seed, &[trial as u64]));
-            let outcome = fig7_stream_trial(config, &key_pair_probs, &fm_cells, &mut rng, ctx)?;
-            reporter.tick(1);
-            Ok::<_, ExperimentError>(outcome)
-        })
-        .map_err(ExperimentError::from)?;
-
-    let mut report = ExperimentReport::new(
-        "fig7-stream",
-        "Streaming two-byte recovery: ciphertexts consumed until confident",
-        &[
-            "trial",
-            "ciphertexts at stop",
-            "stopped",
-            "margin",
-            "correct",
-        ],
-    );
-    headline_note(&mut report, &outcomes, "ciphertext", config.stop.cap);
-    report.note(format!(
-        "stop rule: top-candidate margin ≥ {} nats, re-scored every {} ciphertexts, cap {}; \
-         FM + {} ABSAB relations, sampled mode",
-        config.stop.threshold,
-        format_units(config.stop.batch),
-        format_units(config.stop.cap),
-        config.absab_relations
-    ));
-    for (trial, outcome) in outcomes.iter().enumerate() {
-        report.push_row(&outcome_row(trial, outcome, "yes"));
-    }
-    Ok(report)
-}
-
-/// [`Experiment`] carrier for the streaming fig7 variant.
-pub struct Fig7StreamExperiment {
-    config: Fig7StreamConfig,
-}
-
-impl Fig7StreamExperiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: Fig7StreamConfig::for_scale(Scale::Laptop),
-        }
-    }
-}
-
-impl Default for Fig7StreamExperiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for Fig7StreamExperiment {
-    fn name(&self) -> &'static str {
-        "fig7-stream"
-    }
-
-    fn summary(&self) -> &'static str {
-        "Streaming two-byte recovery with early stopping (fig7 --until-confident)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = Fig7StreamConfig::for_scale(scale);
-    }
-
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
-    }
-
-    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started {
-            experiment: "fig7-stream",
-        });
-        let report = run_fig7_stream(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished {
-            experiment: "fig7-stream",
-        });
-        Ok(report)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// fig10-stream
-// ---------------------------------------------------------------------------
-
-/// Configuration of the streaming cookie recovery (`fig10 --until-confident`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig10StreamConfig {
-    /// Independent streaming sessions to simulate.
-    pub trials: usize,
-    /// Cookie length in bytes.
-    pub cookie_len: usize,
-    /// Cookie alphabet.
-    pub charset: Charset,
-    /// Candidate-list budget per re-score.
-    pub candidates: usize,
-    /// ABSAB relations contributing per transition.
-    pub absab_relations: usize,
-    /// Keystream position (1-based) of the first cookie byte.
-    pub cookie_position: u64,
-    /// The early-stopping rule (units: captured requests).
-    pub stop: StopRule,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for Fig10StreamConfig {
-    fn default() -> Self {
-        Self::for_scale(Scale::Laptop)
-    }
-}
-
-impl Fig10StreamConfig {
-    /// The preset for a [`Scale`].
-    pub fn for_scale(scale: Scale) -> Self {
-        let base = Self {
-            trials: 8,
-            cookie_len: 8,
-            charset: Charset::base64(),
-            candidates: 1 << 10,
-            absab_relations: 24,
-            cookie_position: 321,
-            stop: StopRule {
-                threshold: 10.0,
-                batch: 1 << 28,
-                cap: 1 << 33,
-            },
-            seed: 0x57F10,
-        };
-        match scale {
-            Scale::Quick => Self {
-                trials: 2,
-                cookie_len: 4,
-                candidates: 128,
-                absab_relations: 12,
-                stop: StopRule {
-                    threshold: 10.0,
-                    batch: 1 << 29,
-                    cap: 1 << 33,
-                },
-                ..base
-            },
-            Scale::Laptop => base,
-            Scale::Extended => Self {
-                trials: 32,
-                cookie_len: 16,
-                candidates: 1 << 15,
-                absab_relations: 258,
-                stop: StopRule {
-                    threshold: 10.0,
-                    batch: 1 << 28,
-                    cap: 1 << 35,
-                },
-                ..base
-            },
-        }
-    }
-}
-
-/// Streaming state of one cookie transition: the trial's ground-truth
-/// ciphertext-pair distribution, the FM count accumulator, the ABSAB vote
-/// accumulator, and the relation metadata needed to draw each batch.
-struct TransitionStream {
-    ct_probs: Vec<f64>,
-    fm_cells: Vec<(u8, u8, f64)>,
-    fm_acc: StreamingCounts,
-    votes: StreamingVotes,
-    rels: Vec<TransitionRelation>,
-}
-
-struct TransitionRelation {
-    known: (u8, u8),
-    weight: f64,
-    true_diff_idx: usize,
-    alpha: f64,
-}
-
-/// Runs one streaming fig10 session.
-fn fig10_stream_trial(
-    config: &Fig10StreamConfig,
-    transition_probs: &[Vec<f64>],
-    rng: &mut StdRng,
-    ctx: &ExperimentContext,
-) -> Result<StreamOutcome, ExperimentError> {
-    let alphabet = config.charset.values().to_vec();
-    let cookie: Vec<u8> = (0..config.cookie_len)
-        .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
-        .collect();
-    let before = b'=';
-    let after = b';';
-    let full: Vec<u8> = std::iter::once(before)
-        .chain(cookie.iter().copied())
-        .chain(std::iter::once(after))
-        .collect();
-
-    let mut transitions = Vec::with_capacity(config.cookie_len + 1);
-    for t in 0..=config.cookie_len {
-        let truth = (full[t], full[t + 1]);
-        let mut ct_probs = vec![0.0f64; 65536];
-        for k1 in 0..256usize {
-            for k2 in 0..256usize {
-                let c1 = k1 ^ truth.0 as usize;
-                let c2 = k2 ^ truth.1 as usize;
-                ct_probs[(c1 << 8) | c2] = transition_probs[t][(k1 << 8) | k2];
-            }
-        }
-        let fm_cells: Vec<(u8, u8, f64)> = fm::fm_biases_at(config.cookie_position + t as u64)
-            .into_iter()
-            .map(|b| (b.first, b.second, b.probability))
-            .collect();
-        let mut rels = Vec::with_capacity(config.absab_relations);
-        for rel in 0..config.absab_relations {
-            let gap = rel % 128;
-            let a = alpha(gap);
-            let known = ((rel as u8).wrapping_mul(31), (rel as u8).wrapping_add(7));
-            rels.push(TransitionRelation {
-                known,
-                weight: a.ln() - ((1.0 - a) / 65535.0).ln(),
-                true_diff_idx: ((truth.0 ^ known.0) as usize) << 8 | (truth.1 ^ known.1) as usize,
-                alpha: a,
-            });
-        }
-        transitions.push(TransitionStream {
-            ct_probs,
-            fm_cells,
-            fm_acc: StreamingCounts::new(65536).map_err(ExperimentError::from)?,
-            votes: StreamingVotes::new(65536).map_err(ExperimentError::from)?,
-            rels,
-        });
-    }
-
-    let viterbi = ViterbiConfig {
-        first_known: before,
-        last_known: after,
-        candidates: config.candidates,
-        charset: config.charset.clone(),
-    };
-    let mut test = config.stop.test()?;
-    let mut consumed = 0u64;
-    let mut margin = 0.0f64;
-    let mut correct = false;
-    let mut batch_votes = vec![0.0f64; 65536];
-    while consumed < config.stop.cap {
-        // Per-batch cancellation poll, as in fig7_stream_trial.
-        ctx.checkpoint()?;
-        let batch = (config.stop.cap - consumed).min(config.stop.batch);
-        let n_f = batch as f64;
-        for tr in &mut transitions {
-            // FM ingest: one batch of ciphertext-pair counts.
-            tr.fm_acc
-                .absorb(&sample_counts_normal(&tr.ct_probs, batch, rng))
-                .map_err(ExperimentError::from)?;
-            // ABSAB ingest: per-relation weighted differential votes for this
-            // batch, accumulated in place (votes are linear in counts, so the
-            // running table equals the votes of all requests seen so far).
-            batch_votes.iter_mut().for_each(|v| *v = 0.0);
-            for rel in &tr.rels {
-                let u = (1.0 - rel.alpha) / 65535.0;
-                let mean_other = n_f * u;
-                let sd_other = (n_f * u * (1.0 - u)).sqrt();
-                let mean_true = n_f * rel.alpha;
-                let sd_true = (n_f * rel.alpha * (1.0 - rel.alpha)).sqrt();
-                for d0 in 0..256usize {
-                    for d1 in 0..256usize {
-                        let idx = (d0 << 8) | d1;
-                        let (mean, sd) = if idx == rel.true_diff_idx {
-                            (mean_true, sd_true)
-                        } else {
-                            (mean_other, sd_other)
-                        };
-                        let draw = mean + sd * sample_standard_normal(rng);
-                        let mu = ((d0 ^ rel.known.0 as usize) << 8) | (d1 ^ rel.known.1 as usize);
-                        batch_votes[mu] += rel.weight * draw.max(0.0);
-                    }
-                }
-            }
-            tr.votes
-                .absorb(&batch_votes)
-                .map_err(ExperimentError::from)?;
-        }
-        consumed += batch;
-
-        // Re-score: combined FM + ABSAB likelihood per transition from the
-        // accumulated tables, then a fresh list-Viterbi decode.
-        let mut likelihoods = Vec::with_capacity(transitions.len());
-        for tr in &transitions {
-            let mut combined = PairLikelihoods::from_counts_sparse(
-                tr.fm_acc.counts(),
-                &tr.fm_cells,
-                UNIFORM_PAIR,
-                tr.fm_acc.total(),
-            )?;
-            combined.combine(&PairLikelihoods::from_log_values(
-                tr.votes.votes().to_vec(),
-            )?);
-            likelihoods.push(combined);
-        }
-        let candidates = list_viterbi(&likelihoods, &viterbi)?;
-        margin = candidate_margin(&candidates).unwrap_or(0.0);
-        correct = candidates.first().is_some_and(|c| c.plaintext == cookie);
-        if test.observe(consumed, margin).is_decided() {
-            break;
-        }
-    }
-    let decided = test.is_decided();
-    let (consumed, margin) = test.decision().unwrap_or((consumed, margin));
-    Ok(StreamOutcome {
-        consumed,
-        decided,
-        margin,
-        correct,
-    })
-}
-
-/// Runs the streaming fig10 experiment under an explicit context.
-///
-/// # Errors
-///
-/// Returns [`ExperimentError::InvalidConfig`] for degenerate configurations,
-/// [`ExperimentError::Cancelled`] when the context flag is raised, and
-/// propagates component errors.
-pub fn run_fig10_stream(
-    config: &Fig10StreamConfig,
-    ctx: &ExperimentContext,
-) -> Result<ExperimentReport, ExperimentError> {
-    if config.trials == 0 || config.cookie_len == 0 || config.candidates == 0 {
-        return Err(ExperimentError::InvalidConfig(
-            "need at least one trial, a non-empty cookie and a candidate budget".into(),
-        ));
-    }
-    config.stop.test()?;
-
-    let transition_probs: Vec<Vec<f64>> = (0..=config.cookie_len)
-        .map(|t| {
-            let fm_dist = PairDistribution::fluhrer_mcgrew(config.cookie_position + t as u64);
-            let mut probs = vec![0.0f64; 65536];
-            for k1 in 0..256usize {
-                for k2 in 0..256usize {
-                    probs[(k1 << 8) | k2] = fm_dist.prob(k1 as u8, k2 as u8);
-                }
-            }
-            probs
-        })
-        .collect();
-
-    let base_seed = ctx.mix_seed(config.seed);
-    let reporter = ctx.progress("fig10-stream", config.trials as u64, "trial");
-    let outcomes: Vec<StreamOutcome> = ctx
-        .executor()
-        .map((0..config.trials).collect(), |_, trial| {
-            ctx.checkpoint()?;
-            let mut rng = StdRng::seed_from_u64(stream_seed(base_seed, &[trial as u64]));
-            let outcome = fig10_stream_trial(config, &transition_probs, &mut rng, ctx)?;
-            reporter.tick(1);
-            Ok::<_, ExperimentError>(outcome)
-        })
-        .map_err(ExperimentError::from)?;
-
-    let mut report = ExperimentReport::new(
-        "fig10-stream",
-        "Streaming cookie recovery: requests consumed until confident",
-        &[
-            "trial",
-            "requests at stop",
-            "stopped",
-            "margin",
-            "cookie recovered",
-        ],
-    );
-    headline_note(&mut report, &outcomes, "request", config.stop.cap);
-    report.note(format!(
-        "stop rule: top-candidate margin ≥ {} nats, re-scored every {} requests, cap {}; \
-         {}-byte cookie over {} characters, {} candidates, {} ABSAB relations, sampled mode",
-        config.stop.threshold,
-        format_units(config.stop.batch),
-        format_units(config.stop.cap),
-        config.cookie_len,
-        config.charset.len(),
-        config.candidates,
-        config.absab_relations
-    ));
-    for (trial, outcome) in outcomes.iter().enumerate() {
-        report.push_row(&outcome_row(trial, outcome, "yes"));
-    }
-    Ok(report)
-}
-
-/// [`Experiment`] carrier for the streaming fig10 variant.
-pub struct Fig10StreamExperiment {
-    config: Fig10StreamConfig,
-}
-
-impl Fig10StreamExperiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: Fig10StreamConfig::for_scale(Scale::Laptop),
-        }
-    }
-}
-
-impl Default for Fig10StreamExperiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for Fig10StreamExperiment {
-    fn name(&self) -> &'static str {
-        "fig10-stream"
-    }
-
-    fn summary(&self) -> &'static str {
-        "Streaming cookie recovery with early stopping (fig10 --until-confident)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = Fig10StreamConfig::for_scale(scale);
-    }
-
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
-    }
-
-    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started {
-            experiment: "fig10-stream",
-        });
-        let report = run_fig10_stream(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished {
-            experiment: "fig10-stream",
-        });
-        Ok(report)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// tls-cookie-stream
-// ---------------------------------------------------------------------------
-
-/// Configuration of the streaming end-to-end HTTPS cookie attack
-/// (`tls-cookie --until-confident`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TlsCookieStreamConfig {
-    /// The secret cookie value (non-empty, drawn from `charset`).
-    pub cookie: String,
-    /// Cookie alphabet used for candidate generation.
-    pub charset: Charset,
-    /// Maximum ABSAB gap exploited.
-    pub max_gap: usize,
-    /// Candidate-list budget per re-score.
-    pub candidates: usize,
-    /// The early-stopping rule (units: captured requests).
-    pub stop: StopRule,
-    /// Base RNG seed for the traffic generator.
-    pub seed: u64,
-}
-
-impl Default for TlsCookieStreamConfig {
-    fn default() -> Self {
-        Self::for_scale(Scale::Laptop)
-    }
-}
-
-impl TlsCookieStreamConfig {
-    /// The preset for a [`Scale`].
-    pub fn for_scale(scale: Scale) -> Self {
-        let base = Self {
-            cookie: "dGhpc2lzc2VjcmV0".to_string(),
-            charset: Charset::base64(),
-            max_gap: 64,
-            candidates: 1 << 12,
-            stop: StopRule {
-                threshold: 20.0,
-                batch: 4096,
-                cap: 20_000,
-            },
-            seed: 0x71C6,
-        };
-        match scale {
-            Scale::Quick => Self {
-                max_gap: 32,
-                candidates: 256,
-                stop: StopRule {
-                    threshold: 20.0,
-                    batch: 512,
-                    cap: 1536,
-                },
-                ..base
-            },
-            Scale::Laptop => base,
-            Scale::Extended => Self {
-                max_gap: 128,
-                candidates: 1 << 15,
-                stop: StopRule {
-                    threshold: 20.0,
-                    batch: 16_384,
-                    cap: 200_000,
-                },
-                ..base
-            },
-        }
-    }
-}
-
-/// Runs the streaming end-to-end HTTPS cookie attack: real TLS RC4-SHA1
-/// captures stream into the incremental [`CookieStatistics`] table and the
-/// ranked candidate list is re-scored after every batch.
-///
-/// # Errors
-///
-/// Returns [`ExperimentError::InvalidConfig`] for degenerate configurations,
-/// [`ExperimentError::Cancelled`] when the context flag is raised, and
-/// propagates component errors.
-pub fn run_tls_cookie_stream(
-    config: &TlsCookieStreamConfig,
-    ctx: &ExperimentContext,
-) -> Result<ExperimentReport, ExperimentError> {
-    let cookie = config.cookie.as_bytes().to_vec();
-    if cookie.is_empty() || config.candidates == 0 {
-        return Err(ExperimentError::InvalidConfig(
-            "candidates and the cookie must be non-empty".into(),
-        ));
-    }
-    if !config.charset.accepts(&cookie) {
-        return Err(ExperimentError::InvalidConfig(
-            "the cookie contains bytes outside the configured charset".into(),
-        ));
-    }
-    config.stop.test()?;
-
-    let mut report = ExperimentReport::new(
-        "tls-cookie-stream",
-        "Streaming HTTPS cookie recovery over real TLS RC4-SHA1 traffic",
-        &["stage", "metric", "value"],
-    );
-    report.note(format!(
-        "stop rule: top-candidate margin ≥ {} nats, re-scored every {} captures, cap {}; \
-         real biases need ~9 x 2^27 captures, so sub-paper-scale runs are expected to \
-         end at the cap with no decision",
-        config.stop.threshold, config.stop.batch, config.stop.cap
-    ));
-
-    let mut template = RequestTemplate::new("site.com", "auth", cookie.len());
-    template.align_cookie(0, 0, MAC_LEN);
-    let mut traffic = TrafficGenerator::new(
-        template.clone(),
-        cookie.clone(),
-        TrafficConfig {
-            seed: ctx.mix_seed(config.seed),
-            ..TrafficConfig::default()
-        },
-    )
-    .map_err(ExperimentError::from)?;
-    let mut stats =
-        CookieStatistics::new(&template, config.max_gap).map_err(ExperimentError::from)?;
-    let attack_config = CookieAttackConfig {
-        max_gap: config.max_gap,
-        candidates: config.candidates,
-        charset: config.charset.clone(),
-        use_fm: true,
-        use_absab: true,
-    };
-
-    // A streaming capture loop has no predetermined length — the whole point
-    // is to stop early — so the progress total is "unknown" (0) and every
-    // tick goes through the plain rate limiter.
-    let reporter = ctx.progress("tls-cookie-stream", 0, "capture");
-    let mut test = config.stop.test()?;
-    let mut consumed = 0u64;
-    let mut margin = 0.0f64;
-    let mut candidates = Vec::new();
-    while consumed < config.stop.cap {
-        ctx.checkpoint()?;
-        // Ingest: capture one batch of encrypted requests and fold each into
-        // the incremental per-transition count tables.
-        let batch = (config.stop.cap - consumed).min(config.stop.batch) as usize;
-        for capture in traffic.capture(batch).map_err(ExperimentError::from)? {
-            stats.add(&capture).map_err(ExperimentError::from)?;
-        }
-        consumed += batch as u64;
-        reporter.tick(batch as u64);
-
-        // Re-score: fresh candidate ranking from the accumulated statistics
-        // (analysis fans out on the context executor — worker-invariant).
-        candidates = cookie_candidates_with_exec(&stats, &attack_config, &ctx.executor())
-            .map_err(ExperimentError::from)?;
-        margin = candidate_margin(&candidates).unwrap_or(0.0);
-        if test.observe(consumed, margin).is_decided() {
-            break;
-        }
-    }
-    let decided = test.is_decided();
-    let (consumed, margin) = test.decision().unwrap_or((consumed, margin));
-
-    report.push_row(&[
-        "streaming".to_string(),
-        "captures consumed at stop".to_string(),
-        consumed.to_string(),
-    ]);
-    report.push_row(&[
-        "streaming".to_string(),
-        format!("stop decision (threshold {} nats)", config.stop.threshold),
-        if decided {
-            format!("confident (margin {margin:.1})")
-        } else {
-            format!("no decision — cap reached (margin {margin:.1})")
-        },
-    ]);
-    report.push_row(&[
-        "candidates".to_string(),
-        "ranked cookie candidates generated".to_string(),
-        candidates.len().to_string(),
-    ]);
-    let outcome = brute_force_cookie(&candidates, |guess| guess == cookie.as_slice());
-    report.push_row(&[
-        "brute force".to_string(),
-        "cookie recovered".to_string(),
-        if outcome.cookie.is_some() {
-            "yes"
-        } else {
-            "no"
-        }
-        .to_string(),
-    ]);
-    report.push_row(&[
-        "brute force".to_string(),
-        "attempts / candidate rank".to_string(),
-        format!(
-            "{} / {}",
-            outcome.attempts,
-            outcome
-                .candidate_index
-                .map(|i| i.to_string())
-                .unwrap_or_else(|| "-".to_string())
-        ),
-    ]);
-    Ok(report)
-}
-
-/// [`Experiment`] carrier for the streaming TLS cookie attack.
-pub struct TlsCookieStreamExperiment {
-    config: TlsCookieStreamConfig,
-}
-
-impl TlsCookieStreamExperiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: TlsCookieStreamConfig::for_scale(Scale::Laptop),
-        }
-    }
-}
-
-impl Default for TlsCookieStreamExperiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for TlsCookieStreamExperiment {
-    fn name(&self) -> &'static str {
-        "tls-cookie-stream"
-    }
-
-    fn summary(&self) -> &'static str {
-        "Streaming HTTPS cookie attack with early stopping (tls-cookie --until-confident)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = TlsCookieStreamConfig::for_scale(scale);
-    }
-
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
-    }
-
-    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started {
-            experiment: "tls-cookie-stream",
-        });
-        let report = run_tls_cookie_stream(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished {
-            experiment: "tls-cookie-stream",
-        });
-        Ok(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use rand::{rngs::StdRng, SeedableRng};
+
+    use plaintext_recovery::charset::Charset;
+
     use super::*;
+    use crate::experiments::{
+        fig10::{fig10_stream_trial, run_fig10_stream, Fig10StreamConfig},
+        fig7::{fig7_stream_trial, run_fig7_stream, Fig7StreamConfig, Fig7StreamExperiment},
+        tls_cookie::{run_tls_cookie_stream, TlsCookieStreamConfig, TlsCookieStreamExperiment},
+        PairModel, Scale,
+    };
+    use crate::Experiment;
 
     fn small_fig7() -> Fig7StreamConfig {
         Fig7StreamConfig {
@@ -1117,6 +225,44 @@ mod tests {
         assert!(rule.test().is_err());
         rule.threshold = f64::INFINITY;
         assert!(rule.test().is_err());
+    }
+
+    #[test]
+    fn stop_loop_runs_to_the_cap_or_stops_at_the_decision() {
+        let ctx = ExperimentContext::default();
+        let rule = StopRule {
+            threshold: 5.0,
+            batch: 40,
+            cap: 100,
+        };
+        // Never confident: batches of 40, 40 and the 20 left under the cap.
+        let mut batches = Vec::new();
+        let (stop, last) = run_until_confident(&rule, &ctx, |batch| {
+            batches.push(batch);
+            Ok((1.0, batches.len()))
+        })
+        .unwrap();
+        assert_eq!(batches, [40, 40, 20]);
+        assert_eq!((stop.consumed, stop.decided, last), (100, false, 3));
+        // Confident at the second re-score: the loop stops there.
+        let mut rescores = 0;
+        let (stop, _) = run_until_confident(&rule, &ctx, |_| {
+            rescores += 1;
+            Ok((3.0 * rescores as f64, ()))
+        })
+        .unwrap();
+        assert_eq!((stop.consumed, stop.decided, stop.margin), (80, true, 6.0));
+        // A raised flag stops the loop before the first ingest.
+        let handle = crate::context::CancelHandle::new();
+        handle.cancel();
+        let cancelled = ExperimentContext::default().with_cancel(handle);
+        let result = run_until_confident(&rule, &cancelled, |_| -> Result<(f64, ()), _> {
+            panic!("ingested after cancellation")
+        });
+        assert_eq!(
+            result.map(|(stop, _)| stop),
+            Err(ExperimentError::Cancelled)
+        );
     }
 
     #[test]
@@ -1199,10 +345,9 @@ mod tests {
 
         let fig7 = small_fig7();
         let mut rng = StdRng::seed_from_u64(1);
-        let probs = vec![1.0 / 65536.0; 65536];
-        let cells = vec![(0u8, 0u8, UNIFORM_PAIR * 1.5)];
+        let model = PairModel::new(vec![1.0 / 65536.0; 65536], fig7.position);
         assert_eq!(
-            fig7_stream_trial(&fig7, &probs, &cells, &mut rng, &ctx),
+            fig7_stream_trial(&fig7, &model, &mut rng, &ctx),
             Err(ExperimentError::Cancelled)
         );
 
@@ -1214,10 +359,12 @@ mod tests {
             charset: Charset::hex_lower(),
             ..Fig10StreamConfig::for_scale(Scale::Quick)
         };
-        let transition_probs = vec![vec![1.0 / 65536.0; 65536]; fig10.cookie_len + 1];
+        let models: Vec<PairModel> = (0..=fig10.cookie_len as u64)
+            .map(|t| PairModel::new(vec![1.0 / 65536.0; 65536], fig10.cookie_position + t))
+            .collect();
         let mut rng = StdRng::seed_from_u64(2);
         assert_eq!(
-            fig10_stream_trial(&fig10, &transition_probs, &mut rng, &ctx),
+            fig10_stream_trial(&fig10, &models, &mut rng, &ctx),
             Err(ExperimentError::Cancelled)
         );
     }

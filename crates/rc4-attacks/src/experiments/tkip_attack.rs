@@ -32,8 +32,8 @@ use wpa_tkip::{
 };
 
 use crate::{
-    context::{ExperimentContext, ProgressEvent},
-    experiment::{config_from_value, config_to_value, Experiment},
+    context::ExperimentContext,
+    experiment::{Configured, ExperimentConfig},
     experiments::Scale,
     report::{format_percent, ExperimentReport},
     sampling::{sample_index, stream_seed},
@@ -313,63 +313,27 @@ pub fn run_with_context(
     Ok(report)
 }
 
-/// [`Experiment`] carrier for the end-to-end TKIP attack.
-pub struct TkipAttackExperiment {
-    config: TkipAttackConfig,
-}
+/// [`Experiment`](crate::Experiment) carrier for the end-to-end TKIP attack.
+pub type TkipAttackExperiment = Configured<TkipAttackConfig>;
 
-impl TkipAttackExperiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: TkipAttackConfig::for_scale(Scale::Laptop),
-        }
-    }
-}
+impl ExperimentConfig for TkipAttackConfig {
+    const NAME: &'static str = "tkip-attack";
+    const SUMMARY: &'static str =
+        "End-to-end WPA-TKIP attack: inject, capture, recover the MIC key, forge (Sect. 5)";
 
-impl Default for TkipAttackExperiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for TkipAttackExperiment {
-    fn name(&self) -> &'static str {
-        "tkip-attack"
-    }
-
-    fn summary(&self) -> &'static str {
-        "End-to-end WPA-TKIP attack: inject, capture, recover the MIC key, forge (Sect. 5)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = TkipAttackConfig::for_scale(scale);
-    }
-
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
+    fn preset(scale: Scale) -> Self {
+        Self::for_scale(scale)
     }
 
     fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started {
-            experiment: "tkip-attack",
-        });
-        let report = run_with_context(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished {
-            experiment: "tkip-attack",
-        });
-        Ok(report)
+        run_with_context(self, ctx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Experiment;
 
     #[test]
     fn validation_and_config_roundtrip() {

@@ -22,11 +22,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use plaintext_recovery::charset::Charset;
+use plaintext_recovery::{charset::Charset, viterbi::PairCandidate};
 use tls_rc4::{
     attack::{
-        brute_force_cookie, brute_force_rate_seconds, cookie_candidates_with_exec,
-        CookieAttackConfig, CookieStatistics,
+        brute_force_cookie, brute_force_rate_seconds, candidate_margin,
+        cookie_candidates_with_exec, CookieAttackConfig, CookieStatistics,
     },
     http::RequestTemplate,
     record::MAC_LEN,
@@ -34,9 +34,12 @@ use tls_rc4::{
 };
 
 use crate::{
-    context::{ExperimentContext, ProgressEvent},
-    experiment::{config_from_value, config_to_value, Experiment},
-    experiments::Scale,
+    context::ExperimentContext,
+    experiment::{Configured, ExperimentConfig},
+    experiments::{
+        streaming::{run_until_confident, StopRule},
+        Scale,
+    },
     report::ExperimentReport,
     ExperimentError,
 };
@@ -93,6 +96,113 @@ impl TlsCookieConfig {
     }
 }
 
+/// Captures the fixed-grid driver ingests per batch (cancellation and
+/// progress land between batches), and the most a session holds in memory
+/// at once whatever batch it is asked to ingest.
+const CAPTURE_BATCH: u64 = 1024;
+
+/// One HTTPS cookie attack: the victim's traffic generator and the
+/// incremental statistics of every capture ingested so far. The fixed-grid
+/// driver ingests its captures in [`CAPTURE_BATCH`]es; `tls-cookie-stream`
+/// ingests `stop.batch` at a time and re-ranks after each. The generator
+/// captures request by request, so the batching never changes the result.
+struct TlsCookieSession {
+    traffic: TrafficGenerator,
+    stats: CookieStatistics,
+}
+
+impl TlsCookieSession {
+    /// Aligns the manipulated request's cookie and opens the victim's
+    /// traffic, seeded with `seed`.
+    fn new(cookie: &[u8], max_gap: usize, seed: u64) -> Result<Self, ExperimentError> {
+        let mut template = RequestTemplate::new("site.com", "auth", cookie.len());
+        template.align_cookie(0, 0, MAC_LEN);
+        let traffic = TrafficGenerator::new(
+            template,
+            cookie.to_vec(),
+            TrafficConfig {
+                seed,
+                ..TrafficConfig::default()
+            },
+        )?;
+        let stats = CookieStatistics::new(traffic.template(), max_gap)?;
+        Ok(Self { traffic, stats })
+    }
+
+    /// Captures the next `captures` encrypted requests and folds each into
+    /// the per-transition count tables, [`CAPTURE_BATCH`] captures at a time
+    /// so a huge configured batch cannot exhaust memory.
+    fn ingest(&mut self, captures: u64) -> Result<(), ExperimentError> {
+        let mut left = captures;
+        while left > 0 {
+            let chunk = left.min(CAPTURE_BATCH);
+            for capture in self.traffic.capture(chunk as usize)? {
+                self.stats.add(&capture)?;
+            }
+            left -= chunk;
+        }
+        Ok(())
+    }
+
+    /// The ranked cookie candidates of everything ingested so far (the
+    /// analysis fans out on `ctx`'s executor — worker-invariant).
+    fn candidates(
+        &self,
+        config: &CookieAttackConfig,
+        ctx: &ExperimentContext,
+    ) -> Result<Vec<PairCandidate>, ExperimentError> {
+        Ok(cookie_candidates_with_exec(
+            &self.stats,
+            config,
+            &ctx.executor(),
+        )?)
+    }
+}
+
+/// The FM + ABSAB attack settings both drivers rank candidates with.
+fn attack_config(max_gap: usize, candidates: usize, charset: &Charset) -> CookieAttackConfig {
+    CookieAttackConfig {
+        max_gap,
+        candidates,
+        charset: charset.clone(),
+        use_fm: true,
+        use_absab: true,
+    }
+}
+
+/// Pushes the brute-force rows: whether the oracle accepted a candidate,
+/// and after how many attempts.
+fn push_brute_force_rows(
+    report: &mut ExperimentReport,
+    candidates: &[PairCandidate],
+    cookie: &[u8],
+    missed: &str,
+) {
+    let outcome = brute_force_cookie(candidates, |guess| guess == cookie);
+    report.push_row(&[
+        "brute force".to_string(),
+        "cookie recovered".to_string(),
+        if outcome.cookie.is_some() {
+            "yes"
+        } else {
+            missed
+        }
+        .to_string(),
+    ]);
+    report.push_row(&[
+        "brute force".to_string(),
+        "attempts / candidate rank".to_string(),
+        format!(
+            "{} / {}",
+            outcome.attempts,
+            outcome
+                .candidate_index
+                .map(|i| i.to_string())
+                .unwrap_or_else(|| "-".to_string())
+        ),
+    ]);
+}
+
 /// Runs the end-to-end attack and returns the report.
 ///
 /// # Errors
@@ -134,8 +244,8 @@ pub fn run_with_context(
 
     // Stage 1: the manipulated request with the cookie aligned.
     ctx.checkpoint()?;
-    let mut template = RequestTemplate::new("site.com", "auth", cookie.len());
-    template.align_cookie(0, 0, MAC_LEN);
+    let mut session = TlsCookieSession::new(&cookie, config.max_gap, ctx.mix_seed(config.seed))?;
+    let template = session.traffic.template();
     report.push_row(&[
         "request".to_string(),
         "bytes (known prefix / secret / known suffix)".to_string(),
@@ -149,58 +259,35 @@ pub fn run_with_context(
     ]);
 
     // Stage 2: victim traffic over real TLS RC4-SHA1 connections, captured in
-    // batches so cancellation lands between batches.
-    let mut traffic = TrafficGenerator::new(
-        template.clone(),
-        cookie.clone(),
-        TrafficConfig {
-            seed: ctx.mix_seed(config.seed),
-            ..TrafficConfig::default()
-        },
-    )
-    .map_err(ExperimentError::from)?;
-    let mut stats =
-        CookieStatistics::new(&template, config.max_gap).map_err(ExperimentError::from)?;
-    // The traffic generator is stateful (persistent connections), so capture
-    // stays sequential; per-batch progress goes through the throttled
-    // reporter so a multi-million-capture run cannot flood the sink.
+    // batches so cancellation lands between batches. The traffic generator
+    // is stateful (persistent connections), so capture stays sequential;
+    // per-batch progress goes through the throttled reporter so a
+    // multi-million-capture run cannot flood the sink.
     let reporter = ctx.progress("tls-cookie", config.captures, "capture");
     let mut captured = 0u64;
     while captured < config.captures {
         ctx.checkpoint()?;
-        let batch = (config.captures - captured).min(1024) as usize;
-        for capture in traffic.capture(batch).map_err(ExperimentError::from)? {
-            stats.add(&capture).map_err(ExperimentError::from)?;
-        }
-        captured += batch as u64;
-        reporter.tick(batch as u64);
+        let batch = (config.captures - captured).min(CAPTURE_BATCH);
+        session.ingest(batch)?;
+        captured += batch;
+        reporter.tick(batch);
     }
     report.push_row(&[
         "traffic".to_string(),
         "encrypted requests captured".to_string(),
-        stats.requests().to_string(),
+        session.stats.requests().to_string(),
     ]);
     report.push_row(&[
         "traffic".to_string(),
         "hours for 9 x 2^27 requests at 4450 req/s".to_string(),
-        format!("{:.0}", traffic.hours_for(9 * (1u64 << 27))),
+        format!("{:.0}", session.traffic.hours_for(9 * (1u64 << 27))),
     ]);
 
     // Stage 3 + 4: FM + ABSAB statistics -> Algorithm 2 candidate list ->
     // brute force against the oracle (a stand-in for the real web server).
     ctx.checkpoint()?;
-    let attack_config = CookieAttackConfig {
-        max_gap: config.max_gap,
-        candidates: config.candidates,
-        charset: config.charset.clone(),
-        use_fm: true,
-        use_absab: true,
-    };
-    // Analysis side — likelihood tables and the list-Viterbi decode — fans
-    // out across the context's executor (identical output for any worker
-    // count).
-    let candidates = cookie_candidates_with_exec(&stats, &attack_config, &ctx.executor())
-        .map_err(ExperimentError::from)?;
+    let attack_config = attack_config(config.max_gap, config.candidates, &config.charset);
+    let candidates = session.candidates(&attack_config, ctx)?;
     report.push_row(&[
         "candidates".to_string(),
         "ranked cookie candidates generated".to_string(),
@@ -211,90 +298,192 @@ pub fn run_with_context(
         "minutes to brute-force 2^23 at 20000 req/s".to_string(),
         format!("{:.1}", brute_force_rate_seconds(1 << 23, 20_000) / 60.0),
     ]);
-
-    let outcome = brute_force_cookie(&candidates, |guess| guess == cookie.as_slice());
-    report.push_row(&[
-        "brute force".to_string(),
-        "cookie recovered".to_string(),
-        if outcome.cookie.is_some() {
-            "yes"
-        } else {
-            "no (expected below ~2^30 captures; see fig10 for the success curve)"
-        }
-        .to_string(),
-    ]);
-    report.push_row(&[
-        "brute force".to_string(),
-        "attempts / candidate rank".to_string(),
-        format!(
-            "{} / {}",
-            outcome.attempts,
-            outcome
-                .candidate_index
-                .map(|i| i.to_string())
-                .unwrap_or_else(|| "-".to_string())
-        ),
-    ]);
+    push_brute_force_rows(
+        &mut report,
+        &candidates,
+        &cookie,
+        "no (expected below ~2^30 captures; see fig10 for the success curve)",
+    );
     Ok(report)
 }
 
-/// [`Experiment`] carrier for the end-to-end HTTPS cookie attack.
-pub struct TlsCookieExperiment {
-    config: TlsCookieConfig,
+/// [`Experiment`](crate::Experiment) carrier for the end-to-end HTTPS cookie attack.
+pub type TlsCookieExperiment = Configured<TlsCookieConfig>;
+
+impl ExperimentConfig for TlsCookieConfig {
+    const NAME: &'static str = "tls-cookie";
+    const SUMMARY: &'static str =
+        "End-to-end HTTPS cookie attack over real TLS RC4-SHA1 traffic (Sect. 6)";
+
+    fn preset(scale: Scale) -> Self {
+        Self::for_scale(scale)
+    }
+
+    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
+        run_with_context(self, ctx)
+    }
 }
 
-impl TlsCookieExperiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: TlsCookieConfig::for_scale(Scale::Laptop),
+/// Configuration of the streaming end-to-end HTTPS cookie attack
+/// (`tls-cookie --until-confident`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TlsCookieStreamConfig {
+    /// The secret cookie value (non-empty, drawn from `charset`).
+    pub cookie: String,
+    /// Cookie alphabet used for candidate generation.
+    pub charset: Charset,
+    /// Maximum ABSAB gap exploited.
+    pub max_gap: usize,
+    /// Candidate-list budget per re-score.
+    pub candidates: usize,
+    /// The early-stopping rule (units: captured requests).
+    pub stop: StopRule,
+    /// Base RNG seed for the traffic generator.
+    pub seed: u64,
+}
+
+impl Default for TlsCookieStreamConfig {
+    fn default() -> Self {
+        Self::for_scale(Scale::Laptop)
+    }
+}
+
+impl TlsCookieStreamConfig {
+    /// The preset for a [`Scale`].
+    pub fn for_scale(scale: Scale) -> Self {
+        let base = Self {
+            cookie: "dGhpc2lzc2VjcmV0".to_string(),
+            charset: Charset::base64(),
+            max_gap: 64,
+            candidates: 1 << 12,
+            stop: StopRule {
+                threshold: 20.0,
+                batch: 4096,
+                cap: 20_000,
+            },
+            seed: 0x71C6,
+        };
+        match scale {
+            Scale::Quick => Self {
+                max_gap: 32,
+                candidates: 256,
+                stop: StopRule {
+                    threshold: 20.0,
+                    batch: 512,
+                    cap: 1536,
+                },
+                ..base
+            },
+            Scale::Laptop => base,
+            Scale::Extended => Self {
+                max_gap: 128,
+                candidates: 1 << 15,
+                stop: StopRule {
+                    threshold: 20.0,
+                    batch: 16_384,
+                    cap: 200_000,
+                },
+                ..base
+            },
         }
     }
 }
 
-impl Default for TlsCookieExperiment {
-    fn default() -> Self {
-        Self::new()
+/// Runs the streaming end-to-end HTTPS cookie attack: real TLS RC4-SHA1
+/// captures stream into the incremental [`CookieStatistics`] table and the
+/// ranked candidate list is re-scored after every batch.
+///
+/// # Errors
+///
+/// Returns [`ExperimentError::InvalidConfig`] for degenerate configurations,
+/// [`ExperimentError::Cancelled`] when the context flag is raised, and
+/// propagates component errors.
+pub fn run_tls_cookie_stream(
+    config: &TlsCookieStreamConfig,
+    ctx: &ExperimentContext,
+) -> Result<ExperimentReport, ExperimentError> {
+    let cookie = config.cookie.as_bytes().to_vec();
+    if cookie.is_empty() || config.candidates == 0 {
+        return Err(ExperimentError::InvalidConfig(
+            "candidates and the cookie must be non-empty".into(),
+        ));
     }
+    if !config.charset.accepts(&cookie) {
+        return Err(ExperimentError::InvalidConfig(
+            "the cookie contains bytes outside the configured charset".into(),
+        ));
+    }
+    config.stop.test()?;
+
+    let mut report = ExperimentReport::new(
+        "tls-cookie-stream",
+        "Streaming HTTPS cookie recovery over real TLS RC4-SHA1 traffic",
+        &["stage", "metric", "value"],
+    );
+    report.note(format!(
+        "stop rule: top-candidate margin ≥ {} nats, re-scored every {} captures, cap {}; \
+         real biases need ~9 x 2^27 captures, so sub-paper-scale runs are expected to \
+         end at the cap with no decision",
+        config.stop.threshold, config.stop.batch, config.stop.cap
+    ));
+
+    let mut session = TlsCookieSession::new(&cookie, config.max_gap, ctx.mix_seed(config.seed))?;
+    let attack_config = attack_config(config.max_gap, config.candidates, &config.charset);
+    // A streaming capture loop has no predetermined length — the whole point
+    // is to stop early — so the progress total is "unknown" (0) and every
+    // tick goes through the plain rate limiter.
+    let reporter = ctx.progress("tls-cookie-stream", 0, "capture");
+    let (stop, candidates) = run_until_confident(&config.stop, ctx, |batch| {
+        session.ingest(batch)?;
+        reporter.tick(batch);
+        let candidates = session.candidates(&attack_config, ctx)?;
+        Ok((candidate_margin(&candidates).unwrap_or(0.0), candidates))
+    })?;
+
+    report.push_row(&[
+        "streaming".to_string(),
+        "captures consumed at stop".to_string(),
+        stop.consumed.to_string(),
+    ]);
+    report.push_row(&[
+        "streaming".to_string(),
+        format!("stop decision (threshold {} nats)", config.stop.threshold),
+        if stop.decided {
+            format!("confident (margin {:.1})", stop.margin)
+        } else {
+            format!("no decision — cap reached (margin {:.1})", stop.margin)
+        },
+    ]);
+    report.push_row(&[
+        "candidates".to_string(),
+        "ranked cookie candidates generated".to_string(),
+        candidates.len().to_string(),
+    ]);
+    push_brute_force_rows(&mut report, &candidates, &cookie, "no");
+    Ok(report)
 }
 
-impl Experiment for TlsCookieExperiment {
-    fn name(&self) -> &'static str {
-        "tls-cookie"
-    }
+/// [`Experiment`](crate::Experiment) carrier for the streaming TLS cookie attack.
+pub type TlsCookieStreamExperiment = Configured<TlsCookieStreamConfig>;
 
-    fn summary(&self) -> &'static str {
-        "End-to-end HTTPS cookie attack over real TLS RC4-SHA1 traffic (Sect. 6)"
-    }
+impl ExperimentConfig for TlsCookieStreamConfig {
+    const NAME: &'static str = "tls-cookie-stream";
+    const SUMMARY: &'static str =
+        "Streaming HTTPS cookie attack with early stopping (tls-cookie --until-confident)";
 
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = TlsCookieConfig::for_scale(scale);
-    }
-
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
+    fn preset(scale: Scale) -> Self {
+        Self::for_scale(scale)
     }
 
     fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started {
-            experiment: "tls-cookie",
-        });
-        let report = run_with_context(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished {
-            experiment: "tls-cookie",
-        });
-        Ok(report)
+        run_tls_cookie_stream(self, ctx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{experiment::config_to_value, Experiment};
 
     #[test]
     fn validation_and_config_roundtrip() {
@@ -339,6 +528,49 @@ mod tests {
             .find(|r| r.cells[1].contains("generated"))
             .unwrap();
         assert_eq!(generated.cells[2], "64");
+    }
+
+    #[test]
+    fn capture_batching_never_changes_the_session() {
+        // The fixed driver ingests CAPTURE_BATCH captures at a time, the
+        // stream driver `stop.batch` at a time; both must see exactly the
+        // statistics and candidates of one call over all captures.
+        let config = TlsCookieStreamConfig::for_scale(Scale::Quick);
+        let cookie = config.cookie.as_bytes();
+        let captures = 2500u64;
+        let session = || TlsCookieSession::new(cookie, config.max_gap, 0x5E55).unwrap();
+
+        let mut fixed = session();
+        let mut captured = 0u64;
+        while captured < captures {
+            let batch = (captures - captured).min(CAPTURE_BATCH);
+            fixed.ingest(batch).unwrap();
+            captured += batch;
+        }
+        let ctx = ExperimentContext::default();
+        let mut streamed = session();
+        let stop = StopRule {
+            threshold: 1e15,
+            cap: captures,
+            ..config.stop
+        };
+        let (stopped, ()) = run_until_confident(&stop, &ctx, |batch| {
+            streamed.ingest(batch)?;
+            Ok((0.0, ()))
+        })
+        .unwrap();
+        assert_eq!(stopped.consumed, captures);
+        let mut once = session();
+        once.ingest(captures).unwrap();
+
+        assert_eq!(once.stats.requests(), captures);
+        assert!(fixed.stats == once.stats, "1024-capture batches differ");
+        assert!(streamed.stats == once.stats, "stop.batch batches differ");
+        let attack = attack_config(config.max_gap, 64, &config.charset);
+        let expected = once.candidates(&attack, &ctx).unwrap();
+        assert_eq!(expected.len(), 64);
+        assert_eq!(fixed.candidates(&attack, &ctx).unwrap(), expected);
+        assert_eq!(streamed.candidates(&attack, &ctx).unwrap(), expected);
     }
 
     #[test]

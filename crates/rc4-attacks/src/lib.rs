@@ -46,7 +46,7 @@ pub mod report;
 pub mod sampling;
 
 pub use context::{CancelHandle, EventSink, ExperimentContext, ProgressEvent};
-pub use experiment::Experiment;
+pub use experiment::{Configured, Experiment, ExperimentConfig};
 pub use registry::Registry;
 pub use report::{ExperimentReport, ReportRow};
 

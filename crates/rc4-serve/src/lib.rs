@@ -50,7 +50,7 @@ pub use client::Client;
 pub use ledger::{JobRecord, JobStatus, RunLedger};
 pub use protocol::{JobSpec, Request};
 pub use queue::JobQueue;
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_FRAME_BYTES};
 
 /// Errors of the serving layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -6,6 +6,10 @@
 //! answers with any number of `{"event": "progress", ...}` lines followed by
 //! exactly one `{"event": "end", ...}` line.
 //!
+//! A request line longer than [`crate::MAX_FRAME_BYTES`] (1 MiB), or one
+//! nesting JSON deeper than 128 levels, is answered with an error frame;
+//! the oversized line also closes its connection.
+//!
 //! The vendored serde subset drives the framing: requests and responses are
 //! built and picked apart as [`serde::Value`] trees, so optional fields can
 //! be omitted by clients (a missing field falls back to its documented

@@ -73,7 +73,7 @@ impl Default for CookieAttackConfig {
 /// cookie byte 1, cookie byte `t` → `t + 1`, and cookie byte `L` → known-suffix
 /// byte. Per transition we keep the FM pair counts and the accumulated ABSAB
 /// vote table described in the module documentation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CookieStatistics {
     cookie_len: usize,
     /// Byte offset of the first cookie byte within the request.

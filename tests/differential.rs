@@ -5,7 +5,7 @@
 //! checks span crate boundaries:
 //!
 //! * **Keystream engines** — every [`rc4_accel::AutoBatch`] backend the host
-//!   can run (avx512 / avx2 / neon / portable) plus the lane-free
+//!   can run (avx512 / avx2 / portable) plus the lane-free
 //!   [`rc4::batch::ScalarBatch`] must emit byte-identical keystreams to the
 //!   single-key `rc4::keystream` cipher, across exhaustive small sweeps of
 //!   key lengths, stream lengths, partial batches, and chunked fills, and

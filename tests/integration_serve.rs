@@ -390,3 +390,93 @@ fn serve_priority_order_and_queued_cancel() {
         .expect("server exits cleanly");
     let _ = std::fs::remove_dir_all(&state_dir);
 }
+
+/// Sends one raw frame on a fresh connection and returns the first response
+/// line (empty if the server closed without answering). The frame is written
+/// from a helper thread: the server may answer and close before it has read
+/// the whole line, and the write error that follows is expected.
+fn raw_exchange(addr: &str, frame: Vec<u8>) -> String {
+    use std::io::{BufRead, BufReader, Write};
+
+    let stream = std::net::TcpStream::connect(addr).expect("raw client connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout set");
+    let mut writer = stream.try_clone().expect("stream clones");
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&frame).and_then(|()| writer.flush());
+    });
+    let mut response = String::new();
+    let _ = BufReader::new(stream).read_line(&mut response);
+    sender.join().expect("sender thread joins");
+    response
+}
+
+/// One hostile client cannot take the server down: a line of 200 000 `[`
+/// (which used to overflow the parser's stack and abort the process) gets
+/// an error frame while another client's job runs to completion, a frame
+/// that is not UTF-8 gets an error frame, and a 2 MiB line is refused at
+/// the frame cap and counted, after which the server still serves a normal
+/// submit.
+#[test]
+fn serve_survives_deep_json_and_oversized_frames() {
+    let state_dir = temp_state_dir("hostile");
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        state_dir: state_dir.clone(),
+        budget: 2,
+        default_workers: 1,
+        cache_dir: None,
+    })
+    .expect("server binds");
+    let addr = server.local_addr().to_string();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    let spec = |seed: u64| JobSpec {
+        name: "table2".to_string(),
+        scale: "quick".to_string(),
+        seed,
+        priority: 0,
+        workers: 1,
+    };
+    let mut client = Client::connect(&addr).expect("client connects");
+    let running = client.submit(spec(11)).expect("submit succeeds");
+
+    let mut deep = "[".repeat(200_000).into_bytes();
+    deep.push(b'\n');
+    let response = raw_exchange(&addr, deep);
+    assert!(response.contains("\"ok\":false"), "{response}");
+    assert!(response.contains("nesting deeper than 128"), "{response}");
+    let (status, _) = client.watch(running, 0, |_, _| {}).expect("watch ends");
+    assert_eq!(status, JobStatus::Done, "the other client's job completes");
+
+    let response = raw_exchange(&addr, b"\xff\xfe\n".to_vec());
+    assert!(response.contains("not valid UTF-8"), "{response}");
+
+    let mut oversized = vec![b'x'; 2 << 20];
+    oversized.push(b'\n');
+    let response = raw_exchange(&addr, oversized);
+    assert!(response.contains("\"ok\":false"), "{response}");
+    assert!(
+        response.contains("frame exceeds 1048576 bytes"),
+        "{response}"
+    );
+    let metrics = client.metrics().expect("metrics responds");
+    let refused = metrics
+        .field("counters")
+        .and_then(|counters| counters.field("serve.frames.oversized"));
+    assert!(
+        matches!(refused, Ok(serde::Value::UInt(n)) if *n >= 1),
+        "refusal not counted: {metrics:?}"
+    );
+
+    let (document, _) = run_job_to_done(&addr, spec(12));
+    assert_eq!(document, one_shot_document("table2", 12));
+
+    client.shutdown(5_000).expect("shutdown drains");
+    server_thread
+        .join()
+        .expect("server thread joins")
+        .expect("server exits cleanly");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
